@@ -1,10 +1,19 @@
-//! A clock-eviction buffer pool.
+//! A clock-eviction buffer pool with pinned page handles.
 //!
-//! The pool owns the heap storage and caches up to `capacity` pages in
-//! frames. Access is closure-scoped (`with_page` / `with_page_mut`), which
-//! pins the frame for exactly the duration of the closure without any guard
-//! lifetimes — the pattern the storage scan needs. Dirty frames are written
-//! back on eviction and on [`BufferPool::flush`].
+//! The pool owns the heap storage of a *file-backed* table (a memory table
+//! reads its heap in place and has no pool) and caches up to `capacity` pages
+//! in frames. Dirty frames are written back on eviction and on `flush`.
+//!
+//! **What a pin guarantees.** A frame holds its page as an `Arc<Page>` and
+//! [`BufferPool::pin`] hands out a clone. The pool never changes a page
+//! somebody else still holds: `with_page_mut` and the refill of a reclaimed
+//! frame go through `Arc::make_mut`, which writes in place when the frame is
+//! the only holder and otherwise *replaces* the frame's page with a private
+//! copy. So a pin's bytes stay valid and unchanged while the handle lives —
+//! through eviction, reuse of the frame, or mutation of the page — and a
+//! later `pin` sees the new data. That lets the table drop its latch before
+//! visiting a page's rows. Memory beyond `capacity` frames is bounded by the
+//! pins outstanding: one per scanning thread per nesting level.
 //!
 //! Capping `capacity` far below the table size is how the scalability
 //! experiments (paper Figure 2b) force the disk-resident code path.
@@ -13,6 +22,7 @@ use crate::error::{DbError, DbResult};
 use crate::heap::HeapStorage;
 use crate::page::Page;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Cache statistics, for the scalability harness and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -27,9 +37,10 @@ pub struct PoolStats {
     pub evictions: u64,
 }
 
+#[derive(Default)]
 struct Frame {
     pid: Option<usize>,
-    page: Page,
+    page: Arc<Page>,
     dirty: bool,
     referenced: bool,
     /// Highest WAL LSN whose change this frame holds (0 = none recorded).
@@ -42,7 +53,9 @@ struct Frame {
 
 /// A buffer pool over a heap file.
 pub struct BufferPool {
+    /// Frames used so far; grows to `capacity`, then the clock recycles.
     frames: Vec<Frame>,
+    capacity: usize,
     /// pid → frame index for resident pages.
     resident: HashMap<usize, usize>,
     hand: usize,
@@ -57,16 +70,14 @@ impl BufferPool {
     /// Panics if `capacity == 0`.
     pub fn new(storage: Box<dyn HeapStorage>, capacity: usize) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
-        let frames = (0..capacity)
-            .map(|_| Frame {
-                pid: None,
-                page: Page::new(),
-                dirty: false,
-                referenced: false,
-                lsn: 0,
-            })
-            .collect();
-        Self { frames, resident: HashMap::new(), hand: 0, storage, stats: PoolStats::default() }
+        Self {
+            frames: Vec::new(),
+            capacity,
+            resident: HashMap::new(),
+            hand: 0,
+            storage,
+            stats: PoolStats::default(),
+        }
     }
 
     /// Number of pages in the underlying heap.
@@ -76,7 +87,7 @@ impl BufferPool {
 
     /// Pool capacity in frames.
     pub fn capacity(&self) -> usize {
-        self.frames.len()
+        self.capacity
     }
 
     /// Cache statistics so far.
@@ -91,7 +102,7 @@ impl BufferPool {
 
     /// Description of the underlying storage.
     pub fn describe(&self) -> String {
-        format!("{} via {}-frame pool", self.storage.describe(), self.frames.len())
+        format!("{} via {}-frame pool", self.storage.describe(), self.capacity)
     }
 
     /// Runs `f` against page `pid` (read-only).
@@ -100,11 +111,18 @@ impl BufferPool {
         Ok(f(&self.frames[frame].page))
     }
 
+    /// Pins page `pid`: a handle to its current bytes, valid and unchanged
+    /// however the pool evicts or mutates afterwards (see the module docs).
+    pub fn pin(&mut self, pid: usize) -> DbResult<Arc<Page>> {
+        let frame = self.fetch(pid)?;
+        Ok(Arc::clone(&self.frames[frame].page))
+    }
+
     /// Runs `f` against page `pid` mutably, marking the frame dirty.
     pub fn with_page_mut<T>(&mut self, pid: usize, f: impl FnOnce(&mut Page) -> T) -> DbResult<T> {
         let frame = self.fetch(pid)?;
         self.frames[frame].dirty = true;
-        Ok(f(&mut self.frames[frame].page))
+        Ok(f(Arc::make_mut(&mut self.frames[frame].page)))
     }
 
     /// Appends a fresh page to the heap, returning its id. The page is also
@@ -113,7 +131,7 @@ impl BufferPool {
         let pid = self.storage.append_page(page)?;
         // Warm the cache with the new tail page: inserts hammer it.
         let frame = self.take_frame()?;
-        self.frames[frame].page.bytes_mut().copy_from_slice(page.bytes());
+        Arc::make_mut(&mut self.frames[frame].page).bytes_mut().copy_from_slice(page.bytes());
         self.install(frame, pid, false);
         Ok(pid)
     }
@@ -165,9 +183,9 @@ impl BufferPool {
             return Err(DbError::PageOutOfBounds { pid, pages: self.storage.page_count() });
         }
         let frame = self.take_frame()?;
-        // Disjoint field borrows: read storage directly into the frame's
-        // page buffer, avoiding a per-miss allocation.
-        self.storage.read_page(pid, &mut self.frames[frame].page)?;
+        // Read storage straight into the frame's buffer; only if the evicted
+        // page is still pinned does the frame get a fresh one.
+        self.storage.read_page(pid, Arc::make_mut(&mut self.frames[frame].page))?;
         self.install(frame, pid, false);
         Ok(frame)
     }
@@ -181,22 +199,23 @@ impl BufferPool {
         self.resident.insert(pid, frame);
     }
 
-    /// Finds a victim frame via the clock algorithm, writing it back if
-    /// dirty and detaching it from the resident map.
+    /// Finds a frame to fill: a new one while the pool is below capacity,
+    /// else a clock victim, written back if dirty and made non-resident.
     fn take_frame(&mut self) -> DbResult<usize> {
-        // First pass: any empty frame.
-        if let Some(i) = self.frames.iter().position(|f| f.pid.is_none()) {
-            return Ok(i);
+        if self.frames.len() < self.capacity {
+            self.frames.push(Frame::default());
+            return Ok(self.frames.len() - 1);
         }
         // Clock: skip recently referenced frames once, clearing their bit.
         loop {
             let i = self.hand;
             self.hand = (self.hand + 1) % self.frames.len();
+            // Only a failed storage read leaves a frame empty again.
+            let Some(pid) = self.frames[i].pid else { return Ok(i) };
             if self.frames[i].referenced {
                 self.frames[i].referenced = false;
                 continue;
             }
-            let pid = self.frames[i].pid.expect("occupied frame");
             if self.frames[i].dirty {
                 self.storage.write_page(pid, &self.frames[i].page)?;
                 self.stats.dirty_evictions += 1;
@@ -349,6 +368,53 @@ mod tests {
         assert_eq!(pool.max_dirty_lsn(), 5);
         pool.with_page(0, read_value).unwrap(); // evicts page 1, writes it back
         assert_eq!(pool.max_dirty_lsn(), 0);
+    }
+
+    /// The pin contract on a 1-frame file-backed pool: a pinned page keeps
+    /// its bytes while its frame is evicted, refilled with another page
+    /// and mutated, and while the pinned page itself is rewritten; fresh
+    /// pins see the new data.
+    #[test]
+    fn pinned_bytes_survive_eviction_and_mutation() {
+        let mut pool = BufferPool::new(Box::new(crate::heap::FileHeap::temp().unwrap()), 1);
+        pool.append_page(&page_with(1.0)).unwrap();
+        pool.append_page(&page_with(2.0)).unwrap();
+        let overwrite = |p: &mut Page, v: f64| {
+            p.clear();
+            p.push_row(&[v], 1.0).unwrap();
+        };
+
+        let pinned = pool.pin(0).unwrap();
+        assert_eq!(read_value(&pinned), 1.0);
+        // Page 1 takes the only frame (evicting page 0) and is rewritten
+        // in it: the frame's buffer was replaced, not overwritten.
+        let evictions = pool.stats().evictions;
+        pool.with_page_mut(1, |p| overwrite(p, 20.0)).unwrap();
+        assert_eq!(pool.stats().evictions, evictions + 1);
+        assert_eq!(read_value(&pinned), 1.0, "pinned bytes changed under eviction");
+        // Rewriting the pinned page itself leaves the old pin alone too.
+        pool.with_page_mut(0, |p| overwrite(p, 10.0)).unwrap();
+        assert_eq!(read_value(&pinned), 1.0, "pinned bytes changed under mutation");
+        assert_eq!(read_value(&pool.pin(0).unwrap()), 10.0);
+        assert_eq!(read_value(&pool.pin(1).unwrap()), 20.0, "dirty eviction lost the write");
+        assert_eq!(read_value(&pinned), 1.0);
+    }
+
+    /// Frames fill lazily up to capacity and are then recycled by the
+    /// clock: the pool never holds more frames than its capacity.
+    #[test]
+    fn frames_fill_lazily_up_to_capacity() {
+        let mut pool = BufferPool::new(Box::new(MemHeap::new()), 3);
+        assert_eq!((pool.capacity(), pool.frames.len()), (3, 0));
+        for i in 0..10 {
+            pool.append_page(&page_with(i as f64)).unwrap();
+            assert_eq!(pool.frames.len(), (i + 1).min(3));
+        }
+        for i in 0..10 {
+            assert_eq!(pool.with_page(i, read_value).unwrap(), i as f64);
+        }
+        assert_eq!(pool.frames.len(), 3);
+        assert_eq!(pool.resident.len(), 3);
     }
 
     #[test]

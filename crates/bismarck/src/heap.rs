@@ -1,14 +1,15 @@
 //! Heap files: ordered collections of pages, in memory or on disk.
 //!
 //! The disk implementation is a plain file of `PAGE_SIZE`-aligned pages with
-//! explicit `read/write_page`, which is what the buffer pool manages. Temp
-//! files are unlinked on drop so scalability experiments clean up after
-//! themselves.
+//! explicit positional `read/write_page`, which is what the buffer pool
+//! manages. Temp files are unlinked on drop so scalability experiments clean
+//! up after themselves. The in-memory heap also lends its pages out in place
+//! ([`MemHeap::page`]): how a `Backing::Memory` table reads them, pool-free.
 
 use crate::error::{DbError, DbResult};
 use crate::page::{Page, PAGE_SIZE};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -52,6 +53,17 @@ impl MemHeap {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Borrows page `pid` in place.
+    pub fn page(&self, pid: usize) -> DbResult<&Page> {
+        self.pages.get(pid).ok_or(DbError::PageOutOfBounds { pid, pages: self.pages.len() })
+    }
+
+    /// Mutably borrows page `pid` in place.
+    pub fn page_mut(&mut self, pid: usize) -> DbResult<&mut Page> {
+        let pages = self.pages.len();
+        self.pages.get_mut(pid).ok_or(DbError::PageOutOfBounds { pid, pages })
+    }
 }
 
 impl HeapStorage for MemHeap {
@@ -60,16 +72,12 @@ impl HeapStorage for MemHeap {
     }
 
     fn read_page(&mut self, pid: usize, page: &mut Page) -> DbResult<()> {
-        let src =
-            self.pages.get(pid).ok_or(DbError::PageOutOfBounds { pid, pages: self.pages.len() })?;
-        page.bytes_mut().copy_from_slice(src.bytes());
+        page.bytes_mut().copy_from_slice(self.page(pid)?.bytes());
         Ok(())
     }
 
     fn write_page(&mut self, pid: usize, page: &Page) -> DbResult<()> {
-        let pages = self.pages.len();
-        let dst = self.pages.get_mut(pid).ok_or(DbError::PageOutOfBounds { pid, pages })?;
-        dst.bytes_mut().copy_from_slice(page.bytes());
+        self.page_mut(pid)?.bytes_mut().copy_from_slice(page.bytes());
         Ok(())
     }
 
@@ -148,8 +156,7 @@ impl HeapStorage for FileHeap {
         if pid >= self.pages {
             return Err(DbError::PageOutOfBounds { pid, pages: self.pages });
         }
-        self.file.seek(SeekFrom::Start((pid * PAGE_SIZE) as u64))?;
-        self.file.read_exact(page.bytes_mut())?;
+        self.file.read_exact_at(page.bytes_mut(), (pid * PAGE_SIZE) as u64)?;
         Ok(())
     }
 
@@ -157,14 +164,12 @@ impl HeapStorage for FileHeap {
         if pid >= self.pages {
             return Err(DbError::PageOutOfBounds { pid, pages: self.pages });
         }
-        self.file.seek(SeekFrom::Start((pid * PAGE_SIZE) as u64))?;
-        self.file.write_all(page.bytes())?;
+        self.file.write_all_at(page.bytes(), (pid * PAGE_SIZE) as u64)?;
         Ok(())
     }
 
     fn append_page(&mut self, page: &Page) -> DbResult<usize> {
-        self.file.seek(SeekFrom::Start((self.pages * PAGE_SIZE) as u64))?;
-        self.file.write_all(page.bytes())?;
+        self.file.write_all_at(page.bytes(), (self.pages * PAGE_SIZE) as u64)?;
         self.pages += 1;
         Ok(self.pages - 1)
     }

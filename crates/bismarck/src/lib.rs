@@ -6,12 +6,15 @@
 //! exercise:
 //!
 //! * [`page`] / [`heap`] — 8 KiB pages in memory or on disk (temp-file heaps
-//!   for the larger-than-memory scalability runs).
-//! * [`buffer`] — a clock-eviction buffer pool; capping its capacity forces
-//!   the disk-resident code path of Figure 2(b).
-//! * [`table`] — fixed-width rows of `(features, label)`; implements
-//!   [`bolton_sgd::TrainSet`] so every training algorithm runs against
-//!   tables unchanged.
+//!   for the larger-than-memory scalability runs); rows are read in place
+//!   as `&[f64]`.
+//! * [`buffer`] — the clock-eviction buffer pool of file-backed tables,
+//!   with pinned page handles; capping its capacity forces the
+//!   disk-resident code path of Figure 2(b).
+//! * [`table`] — fixed-width rows of `(features, label)` read zero-copy
+//!   (memory tables from their heap, file-backed ones from pinned frames);
+//!   implements [`bolton_sgd::TrainSet`] so every training algorithm runs
+//!   against tables unchanged.
 //! * [`uda`] — the `initialize/transition/terminate` aggregate API; the SGD
 //!   epoch is an aggregate exactly like `AVG`.
 //! * [`driver`] — the front-end controller: shuffle, epoch loop, convergence

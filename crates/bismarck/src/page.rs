@@ -4,6 +4,10 @@
 //! little-endian. The page header stores the row count; rows pack densely
 //! after it. Fixed-width rows keep the row-id ↔ (page, slot) mapping a pure
 //! arithmetic function, which the permuted scans rely on.
+//!
+//! The buffer is 8-byte aligned and the header and every row are multiples
+//! of 8 bytes, so [`Page::row`] lends a row out as a `&[f64]` lying in the
+//! page itself — the read path of every table scan — with nothing decoded.
 
 use crate::error::{DbError, DbResult};
 
@@ -13,10 +17,27 @@ pub const PAGE_SIZE: usize = 8192;
 /// Bytes reserved at the head of each page (row count + padding).
 pub const PAGE_HEADER: usize = 8;
 
+/// The page bytes, aligned so they can be read in place as `f64`s.
+#[derive(Clone)]
+#[repr(C, align(8))]
+struct PageBuf([u8; PAGE_SIZE]);
+
+// What the in-place view relies on: rows start on 8-byte boundaries of an
+// 8-aligned buffer that is a whole number of doubles (`row_bytes` is
+// `8·(dim+1)`; one value pins it), and — as for `bolton_data::mmap` — the
+// stored little-endian doubles are the target's native ones.
+const _: () = assert!(
+    PAGE_HEADER.is_multiple_of(8)
+        && Page::row_bytes(1).is_multiple_of(8)
+        && std::mem::align_of::<PageBuf>().is_multiple_of(8)
+        && std::mem::size_of::<PageBuf>() == PAGE_SIZE
+        && cfg!(target_endian = "little")
+);
+
 /// One 8 KiB page.
 #[derive(Clone)]
 pub struct Page {
-    data: Box<[u8; PAGE_SIZE]>,
+    data: Box<PageBuf>,
 }
 
 impl std::fmt::Debug for Page {
@@ -34,12 +55,13 @@ impl Default for Page {
 impl Page {
     /// A fresh empty page.
     pub fn new() -> Self {
-        Self { data: Box::new([0u8; PAGE_SIZE]) }
+        Self { data: Box::new(PageBuf([0u8; PAGE_SIZE])) }
     }
 
-    /// Bytes one row occupies for a `dim`-feature schema.
+    /// Bytes one row occupies for a `dim`-feature schema (saturating, so
+    /// an absurd `dim` yields a row no page can hold rather than wrapping).
     pub const fn row_bytes(dim: usize) -> usize {
-        (dim + 1) * 8
+        dim.saturating_add(1).saturating_mul(8)
     }
 
     /// Rows a page can hold for a `dim`-feature schema.
@@ -49,11 +71,12 @@ impl Page {
 
     /// Number of rows currently stored.
     pub fn row_count(&self) -> usize {
-        u32::from_le_bytes([self.data[0], self.data[1], self.data[2], self.data[3]]) as usize
+        let d = &self.data.0;
+        u32::from_le_bytes([d[0], d[1], d[2], d[3]]) as usize
     }
 
     fn set_row_count(&mut self, n: usize) {
-        self.data[0..4].copy_from_slice(&(n as u32).to_le_bytes());
+        self.data.0[0..4].copy_from_slice(&(n as u32).to_le_bytes());
     }
 
     /// Whether a row of the given schema still fits.
@@ -78,36 +101,59 @@ impl Page {
         }
         let mut offset = PAGE_HEADER + slot * Self::row_bytes(dim);
         for &v in features {
-            self.data[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
+            self.data.0[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
             offset += 8;
         }
-        self.data[offset..offset + 8].copy_from_slice(&label.to_le_bytes());
+        self.data.0[offset..offset + 8].copy_from_slice(&label.to_le_bytes());
         self.set_row_count(slot + 1);
         Ok(slot)
     }
 
-    /// Reads the row at `slot` into `features_out`, returning the label.
+    /// The whole page as doubles (word 0 is the header).
+    fn f64s(&self) -> &[f64; PAGE_SIZE / 8] {
+        // SAFETY: `PageBuf` is exactly `PAGE_SIZE` bytes at 8-byte alignment
+        // (const assertion above), every bit pattern is a valid `f64`, and
+        // the view borrows `self`, so the bytes cannot change while it lives.
+        unsafe { &*(self.data.0.as_ptr() as *const [f64; PAGE_SIZE / 8]) }
+    }
+
+    /// Byte offset of the `dim`-feature row at `slot`. Pages are schema-less
+    /// bytes: checking `slot` against both the stored count and what fits
+    /// keeps a wrong `dim` (or a corrupt count) inside the page.
+    fn row_offset(&self, slot: usize, dim: usize) -> DbResult<usize> {
+        let rows = self.row_count().min(Self::rows_per_page(dim));
+        if slot >= rows {
+            return Err(DbError::SlotOutOfBounds { slot, rows });
+        }
+        Ok(PAGE_HEADER + slot * Self::row_bytes(dim))
+    }
+
+    /// Borrows the row at `slot` in place: `(features, label)`.
     ///
     /// # Errors
-    /// [`DbError::SlotOutOfBounds`] for a bad slot.
+    /// [`DbError::SlotOutOfBounds`] if `slot` is past the stored row count
+    /// or a `dim`-feature row at `slot` would not lie inside the page.
+    pub fn row(&self, slot: usize, dim: usize) -> DbResult<(&[f64], f64)> {
+        let start = self.row_offset(slot, dim)? / 8;
+        let row = &self.f64s()[start..start + dim + 1];
+        Ok((&row[..dim], row[dim]))
+    }
+
+    /// Decodes the row at `slot` into `features_out`, returning the label:
+    /// the byte-by-byte reference [`Page::row`] is tested against.
     ///
-    /// # Panics
-    /// Panics if `features_out.len()` disagrees with the schema the page was
-    /// written with (callers own the schema; pages are schema-less bytes).
+    /// # Errors
+    /// [`DbError::SlotOutOfBounds`] under the same rule as [`Page::row`],
+    /// with `dim = features_out.len()`.
     pub fn read_row(&self, slot: usize, features_out: &mut [f64]) -> DbResult<f64> {
-        let dim = features_out.len();
-        if slot >= self.row_count() {
-            return Err(DbError::SlotOutOfBounds { slot, rows: self.row_count() });
-        }
-        let mut offset = PAGE_HEADER + slot * Self::row_bytes(dim);
-        for v in features_out.iter_mut() {
-            *v =
-                f64::from_le_bytes(self.data[offset..offset + 8].try_into().expect("8-byte slice"));
+        let mut offset = self.row_offset(slot, features_out.len())?;
+        let mut next = || {
+            let bytes = self.data.0[offset..offset + 8].try_into().expect("8-byte slice");
             offset += 8;
-        }
-        let label =
-            f64::from_le_bytes(self.data[offset..offset + 8].try_into().expect("8-byte slice"));
-        Ok(label)
+            f64::from_le_bytes(bytes)
+        };
+        features_out.iter_mut().for_each(|v| *v = next());
+        Ok(next())
     }
 
     /// Resets the page to empty (bytes retained, count zeroed).
@@ -117,12 +163,12 @@ impl Page {
 
     /// Raw bytes (for the heap file).
     pub fn bytes(&self) -> &[u8; PAGE_SIZE] {
-        &self.data
+        &self.data.0
     }
 
     /// Mutable raw bytes (for the heap file).
     pub fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
-        &mut self.data
+        &mut self.data.0
     }
 }
 
@@ -185,6 +231,35 @@ mod tests {
         assert!(matches!(page.read_row(0, &mut buf), Err(DbError::SlotOutOfBounds { .. })));
     }
 
+    /// Pages are schema-less: a reader with the wrong `dim` (or an absurd
+    /// one) gets `SlotOutOfBounds` for every slot whose bytes would leave
+    /// the page — from both the borrowed and the decoding read.
+    #[test]
+    fn wrong_dim_never_reads_past_the_page() {
+        let mut page = Page::new();
+        let cap = Page::rows_per_page(1);
+        for i in 0..cap {
+            page.push_row(&[i as f64], 1.0).unwrap();
+        }
+        // dim=1022 fits exactly one row per page: slot 0 is in range (it
+        // reinterprets the narrow rows' bytes), slot 1 is not.
+        assert_eq!(Page::rows_per_page(1022), 1);
+        assert!(page.row(0, 1022).is_ok());
+        let mut wide = vec![0.0; 1022];
+        assert!(page.read_row(0, &mut wide).is_ok());
+        for (slot, dim) in [(1, 1022), (cap - 1, 2), (0, 1023), (0, 1 << 40), (0, usize::MAX)] {
+            assert!(
+                matches!(page.row(slot, dim), Err(DbError::SlotOutOfBounds { .. })),
+                "row({slot}, {dim})"
+            );
+        }
+        assert!(matches!(page.read_row(1, &mut wide), Err(DbError::SlotOutOfBounds { .. })));
+        let mut too_wide = vec![0.0; 1023];
+        assert!(matches!(page.read_row(0, &mut too_wide), Err(DbError::SlotOutOfBounds { .. })));
+        // The stored count still bounds a reader with the right schema.
+        assert!(matches!(page.row(cap, 1), Err(DbError::SlotOutOfBounds { .. })));
+    }
+
     #[test]
     fn clear_resets_count() {
         let mut page = Page::new();
@@ -243,6 +318,49 @@ mod proptests {
                 prop_assert_eq!(got_label.to_bits(), label.to_bits());
                 for (a, b) in buf.iter().zip(row.iter()) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
+        }
+
+        /// The borrowed read is the decoding read: for every schema width a
+        /// page can hold and any fill level, `row()` and `read_row()` agree
+        /// bit for bit on every slot and reject the same slots — also when
+        /// the reader's `dim` is not the writer's.
+        #[test]
+        fn borrowed_row_equals_decoded_row(
+            dim in 1usize..=1022,
+            reader_dim in 1usize..=1022,
+            fill in 0.0f64..=1.0,
+            values in proptest::collection::vec(proptest::num::f64::ANY, 1..64),
+        ) {
+            let capacity = Page::rows_per_page(dim);
+            let rows = (fill * capacity as f64).ceil() as usize;
+            let mut page = Page::new();
+            let mut x = vec![0.0; dim];
+            for i in 0..rows {
+                for (j, v) in x.iter_mut().enumerate() {
+                    *v = values[(i * 31 + j) % values.len()];
+                }
+                page.push_row(&x, values[i % values.len()]).unwrap();
+            }
+            for d in [dim, reader_dim] {
+                let mut buf = vec![0.0; d];
+                // One slot past what this reader may touch, too.
+                for slot in 0..=rows.min(Page::rows_per_page(d)) {
+                    match (page.row(slot, d), page.read_row(slot, &mut buf)) {
+                        (Ok((bx, by)), Ok(dy)) => {
+                            prop_assert!(slot < rows);
+                            prop_assert_eq!(by.to_bits(), dy.to_bits());
+                            prop_assert_eq!(bx.len(), d);
+                            for (a, b) in bx.iter().zip(&buf) {
+                                prop_assert_eq!(a.to_bits(), b.to_bits());
+                            }
+                        }
+                        (Err(DbError::SlotOutOfBounds { .. }), Err(DbError::SlotOutOfBounds { .. })) => {
+                            prop_assert_eq!(slot, rows.min(Page::rows_per_page(d)));
+                        }
+                        (a, b) => panic!("row() and read_row() disagree at slot {slot}: {a:?} vs {b:?}"),
+                    }
                 }
             }
         }

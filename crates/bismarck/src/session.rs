@@ -71,9 +71,9 @@ pub(crate) fn score_batch_cancellable(
     let n = table.row_count();
     let runner = bolton_sgd::pool::runner();
     // The caller participates, so threads+1 ranges keep everyone busy.
-    // Each range scans page-wise (one latch + snapshot per page via
-    // scan_range), so the fan-out contends on the table's pool latch per
-    // page, not per row.
+    // Each range scans page-wise via scan_range: rows are scored in place,
+    // and only a file-backed table has a pool latch to contend on — once
+    // per page, not per row.
     let chunks = runner.run_ranges(n, runner.threads() + 1, |lo, hi| {
         let mut scores = Vec::with_capacity(hi - lo);
         let mut labels = Vec::with_capacity(hi - lo);

@@ -5,18 +5,45 @@
 //! A table implements [`bolton_sgd::TrainSet`], so the SGD engine and every
 //! private algorithm run against it unchanged — that interchangeability *is*
 //! the bolt-on integration story.
+//!
+//! # The read path: borrow the page, visit rows in place
+//!
+//! Every read — `read_row`, `scan_rows`/`scan_range`, the ordered
+//! `TrainSet::scan_order` behind SQL `TRAIN`, `EVAL`, `CHECKPOINT`'s
+//! copy-out — is one primitive: borrow page `pid` and hand the visitor each
+//! row as a `&[f64]` lying in the page itself ([`Page::row`]); nothing is
+//! decoded or copied. Where the page comes from follows from the [`Backing`]:
+//!
+//! * **Memory** — the table owns its `MemHeap` and borrows pages straight
+//!   out of it: no pool, no latch. Every mutation takes `&mut Table` (the
+//!   `Db` hands that out under the table's write lock), so pages cannot
+//!   change under a reader, and a cache in front of pages already in RAM
+//!   would only be a second copy.
+//! * **TempFile / File** — a clock [`BufferPool`] behind a mutex (the
+//!   *latch*), held just long enough to [`pin`](BufferPool::pin) the page.
+//!   Rows are visited from the pin, whose bytes stay valid and unchanged
+//!   whatever the pool does next: scans latch once per same-page run, never
+//!   per row and never across a `visit` callback, so visitors may re-scan
+//!   the table, sessions interleave per page, and no scan sees a torn page.
 
 use crate::buffer::{BufferPool, PoolStats};
 use crate::error::{DbError, DbResult};
-use crate::heap::Backing;
+use crate::heap::{Backing, HeapStorage, MemHeap};
 use crate::page::Page;
 use bolton_rng::Rng;
 use bolton_sgd::chunked::ChunkedRows;
 use bolton_sgd::TrainSet;
 use std::sync::Mutex;
 
-/// Default number of buffer-pool frames for new tables (256 × 8 KiB = 2 MiB).
+/// Default buffer-pool frames of a file-backed table (256 × 8 KiB = 2 MiB).
 pub const DEFAULT_POOL_PAGES: usize = 256;
+
+/// Where a table's pages live (module docs): owned and read in place, or
+/// in a file behind the pool latch and read through pins.
+enum Heap {
+    Memory(MemHeap),
+    Pooled(Mutex<BufferPool>),
+}
 
 /// A table of `(features[dim], label)` rows.
 pub struct Table {
@@ -24,14 +51,7 @@ pub struct Table {
     dim: usize,
     rows: usize,
     backing: Backing,
-    // A mutex (page latch) so that read paths (scans) work through &Table
-    // even when the table is shared across server sessions: the pool
-    // mutates internally on every fetch. The latch is held only for the
-    // duration of a single page access — never across a visit callback —
-    // so concurrent readers interleave at page granularity and a frame is
-    // effectively pinned (unevictable) exactly while its bytes are read.
-    pool: Mutex<BufferPool>,
-    tail_pid: Option<usize>,
+    heap: Heap,
     /// Highest WAL LSN applied to this table (0 = none / not durable).
     /// Maintained by the durability layer in `db.rs`; recovery uses it to
     /// know where replay left the table.
@@ -39,13 +59,15 @@ pub struct Table {
 }
 
 impl Table {
-    /// Creates an empty table.
+    /// Creates an empty table. `pool_pages` sizes the buffer pool of a
+    /// file-backed table; a `Backing::Memory` table has no pool.
     ///
     /// # Errors
     /// Propagates storage-open failures.
     ///
     /// # Panics
-    /// Panics if `dim == 0` or a row would not fit in one page.
+    /// Panics if `dim == 0`, a row would not fit in one page, or a
+    /// file-backed table is given `pool_pages == 0`.
     pub fn create(
         name: impl Into<String>,
         dim: usize,
@@ -54,19 +76,14 @@ impl Table {
     ) -> DbResult<Self> {
         assert!(dim > 0, "tables need at least one feature column");
         assert!(Page::rows_per_page(dim) > 0, "row of dim {dim} does not fit in a page");
-        let storage = backing.open()?;
-        Ok(Self {
-            name: name.into(),
-            dim,
-            rows: 0,
-            backing,
-            pool: Mutex::new(BufferPool::new(storage, pool_pages)),
-            tail_pid: None,
-            last_lsn: 0,
-        })
+        let heap = match backing {
+            Backing::Memory => Heap::Memory(MemHeap::new()),
+            _ => Heap::Pooled(Mutex::new(BufferPool::new(backing.open()?, pool_pages))),
+        };
+        Ok(Self { name: name.into(), dim, rows: 0, backing, heap, last_lsn: 0 })
     }
 
-    /// Convenience: an in-memory table with the default pool size.
+    /// Convenience: an in-memory table.
     pub fn in_memory(name: impl Into<String>, dim: usize) -> Self {
         Self::create(name, dim, Backing::Memory, DEFAULT_POOL_PAGES)
             .expect("in-memory table creation cannot fail")
@@ -92,25 +109,33 @@ impl Table {
         self.rows
     }
 
-    /// Buffer-pool statistics.
+    /// The pool of a file-backed table, latched; `None` for a memory table.
+    fn pool(&self) -> Option<std::sync::MutexGuard<'_, BufferPool>> {
+        match &self.heap {
+            Heap::Memory(_) => None,
+            Heap::Pooled(pool) => Some(pool.lock().expect("pool latch")),
+        }
+    }
+
+    /// Buffer-pool statistics (all zero for a memory table: it has no pool).
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.lock().expect("pool latch").stats()
+        self.pool().map(|p| p.stats()).unwrap_or_default()
     }
 
     /// Resets buffer-pool statistics.
     pub fn reset_pool_stats(&self) {
-        self.pool.lock().expect("pool latch").reset_stats();
+        if let Some(mut pool) = self.pool() {
+            pool.reset_stats();
+        }
     }
 
-    /// Storage description (backing + pool).
+    /// Storage description (backing, and the pool if there is one).
     pub fn describe(&self) -> String {
-        format!(
-            "table '{}' dim={} rows={} [{}]",
-            self.name,
-            self.dim,
-            self.rows,
-            self.pool.lock().expect("pool latch").describe()
-        )
+        let storage = match &self.heap {
+            Heap::Memory(heap) => heap.describe(),
+            Heap::Pooled(pool) => pool.lock().expect("pool latch").describe(),
+        };
+        format!("table '{}' dim={} rows={} [{storage}]", self.name, self.dim, self.rows)
     }
 
     /// Inserts one row.
@@ -121,17 +146,23 @@ impl Table {
         if features.len() != self.dim {
             return Err(DbError::SchemaMismatch { expected: self.dim, got: features.len() });
         }
-        let mut pool = self.pool.lock().expect("pool latch");
-        let need_new_page = match self.tail_pid {
-            None => true,
-            Some(pid) => !pool.with_page(pid, |p| p.has_room(self.dim))?,
-        };
-        if need_new_page {
-            let pid = pool.append_page(&Page::new())?;
-            self.tail_pid = Some(pid);
+        // Rows pack densely, so the next row's page follows from the count.
+        let pid = self.rows / Page::rows_per_page(self.dim);
+        match &mut self.heap {
+            Heap::Memory(heap) => {
+                if pid == heap.page_count() {
+                    heap.append_page(&Page::new())?;
+                }
+                heap.page_mut(pid)?.push_row(features, label)?;
+            }
+            Heap::Pooled(pool) => {
+                let pool = pool.get_mut().expect("pool latch");
+                if pid == pool.page_count() {
+                    pool.append_page(&Page::new())?;
+                }
+                pool.with_page_mut(pid, |p| p.push_row(features, label))??;
+            }
         }
-        let pid = self.tail_pid.expect("tail page exists");
-        pool.with_page_mut(pid, |p| p.push_row(features, label))??;
         self.rows += 1;
         Ok(())
     }
@@ -153,8 +184,9 @@ impl Table {
     /// stamping the tail page's frame for the dirty-page bookkeeping.
     pub fn note_lsn(&mut self, lsn: u64) {
         self.last_lsn = self.last_lsn.max(lsn);
-        if let Some(pid) = self.tail_pid {
-            self.pool.lock().expect("pool latch").stamp_lsn(pid, lsn);
+        if let (Heap::Pooled(pool), Some(last)) = (&mut self.heap, self.rows.checked_sub(1)) {
+            let tail_pid = last / Page::rows_per_page(self.dim);
+            pool.get_mut().expect("pool latch").stamp_lsn(tail_pid, lsn);
         }
     }
 
@@ -182,6 +214,19 @@ impl Table {
         Ok((rid / rpp, rid % rpp))
     }
 
+    /// The one read primitive: borrows page `pid` and runs `f` on it with
+    /// no latch held (see the module docs).
+    fn with_page<T>(&self, pid: usize, f: impl FnOnce(&Page) -> DbResult<T>) -> DbResult<T> {
+        match &self.heap {
+            Heap::Memory(heap) => f(heap.page(pid)?),
+            Heap::Pooled(pool) => {
+                // The guard is a temporary: the latch is released before `f`.
+                let page = pool.lock().expect("pool latch").pin(pid)?;
+                f(&page)
+            }
+        }
+    }
+
     /// Reads row `rid` into `features_out`, returning the label.
     ///
     /// # Errors
@@ -192,27 +237,27 @@ impl Table {
     pub fn read_row(&self, rid: usize, features_out: &mut [f64]) -> DbResult<f64> {
         assert_eq!(features_out.len(), self.dim, "output buffer dimension mismatch");
         let (pid, slot) = self.locate(rid)?;
-        self.pool.lock().expect("pool latch").with_page(pid, |p| p.read_row(slot, features_out))?
+        self.with_page(pid, |p| {
+            let (x, y) = p.row(slot, self.dim)?;
+            features_out.copy_from_slice(x);
+            Ok(y)
+        })
     }
 
-    /// Sequential full scan: `visit(rid, features, label)` per row.
+    /// Sequential full scan: `visit(rid, features, label)` per row, the
+    /// features borrowed in place from the row's page.
     ///
     /// This is the access path of one Bismarck epoch: pages stream through
     /// the pool in order, so a pool far smaller than the table still scans
-    /// at full speed.
-    ///
-    /// Each page is snapshotted into a local frame under a short-lived
-    /// latch, then its rows are visited with no lock held — so visit
-    /// callbacks may themselves scan the table (reentrant metric scans) and
-    /// concurrent sessions interleave at page granularity without ever
-    /// observing a torn page.
+    /// at full speed. No latch is held while `visit` runs, so callbacks may
+    /// themselves scan the table.
     pub fn scan_rows(&self, visit: &mut dyn FnMut(usize, &[f64], f64)) -> DbResult<()> {
         self.scan_range(0, self.rows, visit)
     }
 
     /// [`Table::scan_rows`] over the row range `[lo, hi)` — the shard
-    /// shape parallel batch scoring fans out, with one latch acquisition
-    /// and one page snapshot per page instead of per row.
+    /// shape parallel batch scoring fans out; a file-backed table latches
+    /// and pins once per page, not per row.
     ///
     /// # Errors
     /// Propagates storage errors.
@@ -230,20 +275,16 @@ impl Table {
             return Ok(());
         }
         let rpp = Page::rows_per_page(self.dim);
-        let mut buf = vec![0.0; self.dim];
-        let mut snapshot = Page::new();
         for pid in (lo / rpp)..=((hi - 1) / rpp) {
-            self.pool
-                .lock()
-                .expect("pool latch")
-                .with_page(pid, |p| snapshot.bytes_mut().copy_from_slice(p.bytes()))?;
             let page_base = pid * rpp;
-            let slot_lo = lo.saturating_sub(page_base);
-            let slot_hi = (hi - page_base).min(snapshot.row_count());
-            for slot in slot_lo..slot_hi {
-                let label = snapshot.read_row(slot, &mut buf)?;
-                visit(page_base + slot, &buf, label);
-            }
+            let slots = lo.saturating_sub(page_base)..(hi - page_base).min(rpp);
+            self.with_page(pid, |p| {
+                for slot in slots {
+                    let (x, y) = p.row(slot, self.dim)?;
+                    visit(page_base + slot, x, y);
+                }
+                Ok(())
+            })?;
         }
         Ok(())
     }
@@ -262,14 +303,14 @@ impl Table {
             // keeps the pre-shuffle data (mirrors CREATE TABLE AS SELECT).
             Backing::TempFile | Backing::File(_) => Backing::TempFile,
         };
-        let pool_pages = self.pool.lock().expect("pool latch").capacity();
+        let pool_pages = self.pool().map_or(DEFAULT_POOL_PAGES, |p| p.capacity());
         let mut shuffled = Table::create(self.name.clone(), self.dim, backing, pool_pages)?;
         let mut buf = vec![0.0; self.dim];
         for &rid in &order {
             let label = self.read_row(rid, &mut buf)?;
             shuffled.insert(&buf, label)?;
         }
-        shuffled.pool.lock().expect("pool latch").flush()?;
+        shuffled.flush()?;
         let moved = shuffled.rows;
         // The rebuilt table holds the same logical state: keep the LSN
         // watermark rather than resetting it to "never logged".
@@ -278,21 +319,21 @@ impl Table {
         Ok(moved)
     }
 
-    /// Flushes dirty pages to storage.
+    /// Flushes dirty pages to storage (nothing to do for a memory table).
     pub fn flush(&self) -> DbResult<()> {
-        self.pool.lock().expect("pool latch").flush()
+        self.pool().map_or(Ok(()), |mut p| p.flush())
     }
 
     /// Flushes dirty pages and fsyncs the heap — used by checkpoints on
     /// named-file tables so the heap file itself is never behind the
     /// snapshot taken from it.
     pub fn flush_durable(&self) -> DbResult<()> {
-        self.pool.lock().expect("pool latch").flush_and_sync()
+        self.pool().map_or(Ok(()), |mut p| p.flush_and_sync())
     }
 
     /// Highest LSN still sitting on a dirty (unflushed) page frame.
     pub fn max_dirty_lsn(&self) -> u64 {
-        self.pool.lock().expect("pool latch").max_dirty_lsn()
+        self.pool().map_or(0, |p| p.max_dirty_lsn())
     }
 }
 
@@ -306,10 +347,10 @@ impl ChunkedRows for Table {
     }
 
     fn chunk_len(&self) -> usize {
-        // A table chunk *is* a heap page: the chunked scan's same-page runs
-        // become consecutive hits on one pooled frame, so ordered scans
-        // under a chunk-local permutation stream pages exactly like the
-        // sequential Bismarck epoch.
+        // A table chunk *is* a heap page: each same-page run of an ordered
+        // scan borrows its page once, so scans under a chunk-local
+        // permutation stream pages exactly like the sequential Bismarck
+        // epoch.
         Page::rows_per_page(self.dim)
     }
 
@@ -319,30 +360,14 @@ impl ChunkedRows for Table {
         locals: &[usize],
         visit: &mut dyn FnMut(usize, &[f64], f64),
     ) {
-        // The row buffer is thread-local so the many short runs of a
-        // chunked scan don't allocate; the pool borrow is per row (as in
-        // `read_row`), keeping the visit callback outside the RefCell so
-        // reentrant metric scans keep working.
-        thread_local! {
-            static ROW_BUF: std::cell::RefCell<Vec<f64>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        let rpp = self.chunk_len();
-        let mut body = |buf: &mut Vec<f64>| {
-            buf.clear();
-            buf.resize(self.dim, 0.0);
-            for (k, &l) in locals.iter().enumerate() {
-                let rid = chunk * rpp + l;
-                let label = self
-                    .read_row(rid, buf)
-                    .unwrap_or_else(|e| panic!("scan_order: row {rid}: {e}"));
-                visit(k, buf, label);
+        self.with_page(chunk, |p| {
+            for (k, &slot) in locals.iter().enumerate() {
+                let (x, y) = p.row(slot, self.dim)?;
+                visit(k, x, y);
             }
-        };
-        ROW_BUF.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut buf) => body(&mut buf),
-            Err(_) => body(&mut vec![0.0; self.dim]),
-        });
+            Ok(())
+        })
+        .unwrap_or_else(|e| panic!("scan_order: page {chunk}: {e}"));
     }
 }
 
@@ -522,7 +547,8 @@ mod tests {
 
     #[test]
     fn lsn_watermark_tracks_inserts_and_survives_shuffle() {
-        let mut t = Table::in_memory("t", 2);
+        // File-backed: only a pooled table has dirty frames to stamp.
+        let mut t = Table::create("t", 2, Backing::TempFile, 4).unwrap();
         assert_eq!(t.last_lsn(), 0);
         t.insert_at_lsn(&[1.0, 2.0], 1.0, 5).unwrap();
         t.insert_at_lsn(&[3.0, 4.0], -1.0, 9).unwrap();
@@ -537,6 +563,73 @@ mod tests {
         // A stale stamp never regresses the watermark.
         t.note_lsn(3);
         assert_eq!(t.last_lsn(), 9);
+    }
+
+    /// A 1-frame DISK table: every pin of another page reclaims the frame
+    /// an outer scan is still reading from. A `scan_order` visitor that
+    /// re-scans the table (reentrancy: no latch is held across `visit`)
+    /// still sees its own row intact afterwards, and two threads scanning
+    /// concurrently both finish with every row correct.
+    #[test]
+    fn one_frame_disk_table_scans_reentrantly_and_concurrently() {
+        // dim=100 ⇒ 10 rows/page; 60 rows = 6 pages through 1 frame.
+        let (n, dim) = (60, 100);
+        let t = filled(Backing::TempFile, 1, n, dim);
+        let row_ok =
+            |rid: usize, x: &[f64]| x.iter().enumerate().all(|(j, &v)| v == (rid * dim + j) as f64);
+        let order = bolton_rng::random_permutation(&mut bolton_rng::seeded(5), n);
+
+        let mut outer = 0usize;
+        t.scan_order(&order, &mut |pos, x, _| {
+            let mut inner = 0usize;
+            t.scan_order(&order, &mut |ipos, ix, _| {
+                assert!(row_ok(order[ipos], ix), "inner row {}", order[ipos]);
+                inner += 1;
+            });
+            assert_eq!(inner, n);
+            assert!(row_ok(order[pos], x), "outer row {} changed under the inner scan", order[pos]);
+            outer += 1;
+        });
+        assert_eq!(outer, n);
+        assert!(t.pool_stats().evictions > 0, "the scans must fight over the frame");
+
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..20 {
+                        let mut seen = 0usize;
+                        t.scan_order(&order, &mut |pos, x, _| {
+                            assert!(row_ok(order[pos], x), "torn row {}", order[pos]);
+                            seen += 1;
+                        });
+                        assert_eq!(seen, n);
+                    }
+                });
+            }
+        });
+    }
+
+    /// A memory table has no pool: its counters stay zero however it is
+    /// read, the dirty-frame bookkeeping is empty, and `describe()` says
+    /// so — while a file-backed table still reports its pool.
+    #[test]
+    fn memory_table_has_no_pool() {
+        let t = filled(Backing::Memory, 8, 500, 10);
+        t.scan_rows(&mut |_, _, _| {}).unwrap();
+        t.scan_order(&[499, 0, 250], &mut |_, _, _| {});
+        let mut buf = vec![0.0; 10];
+        t.read_row(42, &mut buf).unwrap();
+        t.reset_pool_stats();
+        assert_eq!(t.pool_stats(), PoolStats::default());
+        assert_eq!(t.max_dirty_lsn(), 0);
+        t.flush_durable().unwrap();
+        assert_eq!(t.describe(), "table 't' dim=10 rows=500 [memory (6 pages)]");
+
+        let disk = filled(Backing::TempFile, 8, 500, 10);
+        assert!(disk.describe().ends_with("(6 pages) via 8-frame pool]"), "{}", disk.describe());
+        assert!(disk.pool_stats().hits > 0);
     }
 
     #[test]

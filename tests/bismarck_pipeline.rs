@@ -111,3 +111,69 @@ fn repeated_shuffles_preserve_data_on_disk() {
         assert!((before - after).abs() < 1e-9, "shuffle changed data: {before} vs {after}");
     }
 }
+
+/// Noiseless SQL `TRAIN` at a fixed seed yields the same bits whether its
+/// rows are borrowed from a Memory table's pages, from pinned frames of a
+/// DISK table with a starved pool, or handed to the bare engine from an
+/// `InMemoryDataset` copy — the table layer moves rows, never changes them
+/// or the order they are visited in.
+#[test]
+fn sql_train_is_bit_identical_across_storage_and_the_bare_engine() {
+    use bolton_bismarck::{Db, Session};
+    use bolton_sgd::dataset::InMemoryDataset;
+    use bolton_sgd::engine::{run_psgd, Averaging, SamplingScheme, SgdConfig};
+    use std::sync::Arc;
+
+    let (dim, lambda, passes, batch, seed) = (30, 0.01, 3, 7, 42);
+    let spec = SynthSpec { rows: 900, dim, label_noise: 0.1, feature_scale: 1.0 };
+    let source =
+        bolton_bismarck::synthesize("src", &spec, Backing::Memory, 1, &mut bolton_rng::seeded(600))
+            .unwrap();
+
+    // dim=30 ⇒ 33 rows/page; 900 rows = 28 pages through 2 frames.
+    let db = Arc::new(Db::new());
+    db.create_table("mem", dim, Backing::Memory, 256).unwrap();
+    db.create_table("disk", dim, Backing::TempFile, 2).unwrap();
+    for name in ["mem", "disk"] {
+        let handle = db.table(name).unwrap();
+        let mut table = handle.write().unwrap();
+        source.scan_rows(&mut |_, x, y| table.insert(x, y).unwrap()).unwrap();
+    }
+    let (mut features, mut labels) = (Vec::new(), Vec::new());
+    source
+        .scan_rows(&mut |_, x, y| {
+            features.extend_from_slice(x);
+            labels.push(y);
+        })
+        .unwrap();
+    let copy = InMemoryDataset::from_flat(features, labels, dim);
+
+    let mut session = Session::new(Arc::clone(&db));
+    let mut train_on = |table: &str| {
+        let sql = format!(
+            "TRAIN m_{table} ON {table} ALGO noiseless LAMBDA {lambda} PASSES {passes} \
+             BATCH {batch} SEED {seed}"
+        );
+        assert!(matches!(session.run(&sql).unwrap(), QueryResult::Trained { .. }));
+        db.model(&format!("m_{table}")).unwrap()
+    };
+    let on_memory = train_on("mem");
+    let on_disk = train_on("disk");
+    let disk_stats = db.table("disk").unwrap().read().unwrap().pool_stats();
+    assert!(disk_stats.evictions > 50, "the DISK pool must be starved: {disk_stats:?}");
+    assert_eq!(db.table("mem").unwrap().read().unwrap().pool_stats(), Default::default());
+
+    // What TRAIN … ALGO noiseless runs (TrainPlan, Table 4's 1/(γt) step).
+    let loss = Logistic::regularized(lambda, 1.0 / lambda);
+    let config = SgdConfig::new(StepSize::InvGammaT { gamma: lambda })
+        .with_passes(passes)
+        .with_batch_size(batch)
+        .with_averaging(Averaging::FinalIterate)
+        .with_sampling(SamplingScheme::Permutation { fresh_each_pass: false })
+        .with_projection(1.0 / lambda);
+    let bare = run_psgd(&copy, &loss, &config, &mut bolton_rng::seeded(seed)).model;
+
+    let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&on_memory), bits(&on_disk), "Memory vs DISK table");
+    assert_eq!(bits(&on_memory), bits(&bare), "SQL TRAIN vs run_psgd on the same rows");
+}
