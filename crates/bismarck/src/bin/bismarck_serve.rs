@@ -39,6 +39,8 @@
 //! * `BOLTON_WAL_SYNC_WINDOW_US` — group-commit window in µs: a syncing
 //!   committer waits this long so concurrent acks share one fsync;
 //!   `0` (default) = sync immediately. Never weakens acked durability.
+//!   Rarely needed: a v2 connection's acknowledgements park on the
+//!   server's one committer thread and batch while the previous fsync runs.
 //! * `BOLTON_WAL_SEGMENT_BYTES` — WAL segment rotation threshold;
 //!   default 4 MiB.
 //! * `BOLTON_SERVE_MAX_CONN` — connection limit; default 64.

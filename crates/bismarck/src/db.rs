@@ -26,7 +26,9 @@
 //! crash-safe. Every mutation appends a [`WalRecord`] to the write-ahead
 //! log *while holding the same lock that serializes the mutation*, so the
 //! log order equals the apply order; the record is fsynced (group commit)
-//! after the lock drops and **before** the statement is acknowledged.
+//! after the lock drops and **before** the statement is acknowledged —
+//! inline by the caller, or by the server's committer for pipelined
+//! connections ([`crate::server`]).
 //! [`Db::checkpoint`] freezes the catalog under read locks, snapshots
 //! every table into the `bolton_data` row-store chunk format inside a
 //! `checkpoint-N/` directory, commits it by atomically rewriting the
@@ -615,7 +617,10 @@ impl Db {
         let n_tables = guards.len();
         // The snapshot must never get ahead of the durable log: sync first,
         // then everything ≤ lsn is both applied (locks held) and durable.
-        let lsn = d.wal.sync_all()?;
+        // Sealing while the guards exclude appends makes `lsn` a segment
+        // boundary, so the reset below drops the covered log whole even
+        // when writers never pause.
+        let lsn = d.wal.seal()?;
 
         let tmp = d.dir.join(CHECKPOINT_TMP);
         let _ = fs::remove_dir_all(&tmp);
@@ -1035,6 +1040,59 @@ mod tests {
         drop(db);
         let db = Db::open(&dir).unwrap();
         assert_eq!(scan_bits(&db), reference);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_under_a_running_writer_leaves_only_the_uncovered_tail_on_disk() {
+        let dir = data_dir("ckpt-live");
+        let db = Arc::new(Db::open(&dir).unwrap());
+        db.create_table("t", 1, Backing::Memory, 8).unwrap();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (progress_tx, progress) = std::sync::mpsc::channel();
+        let writer = {
+            let (db, stop) = (Arc::clone(&db), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut rows = 0usize;
+                while !stop.load(Ordering::SeqCst) {
+                    db.insert_row("t", &[rows as f64], 1.0).unwrap();
+                    rows += 1;
+                    let _ = progress_tx.send(rows);
+                }
+                rows
+            })
+        };
+        // The writer is mid-stream before the checkpoint starts and still
+        // going after it returns: records land on both sides of the cut.
+        while progress.recv().unwrap() < 50 {}
+        let (_, lsn) = db.checkpoint().unwrap();
+        let seen = progress.recv().unwrap();
+        while progress.recv().unwrap() < seen + 50 {}
+        stop.store(true, Ordering::SeqCst);
+        let rows = writer.join().unwrap();
+        drop(db);
+
+        // On disk: no record the checkpoint covers, every record after it.
+        let mut segments: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name().to_str().and_then(crate::wal::parse_segment_seq).is_some())
+            .map(|e| e.path())
+            .collect();
+        segments.sort();
+        let mut lsns = Vec::new();
+        for path in segments {
+            let (records, _) = crate::wal::decode_frames(&fs::read(path).unwrap());
+            lsns.extend(records.into_iter().map(|(l, _)| l));
+        }
+        let last = 1 + rows as u64; // CREATE TABLE is LSN 1
+        assert!(lsn < last, "the writer outran the checkpoint");
+        assert_eq!(lsns, (lsn + 1..=last).collect::<Vec<_>>());
+
+        // Reopen replays exactly that tail onto the snapshot.
+        let db = Db::open(&dir).unwrap();
+        assert_eq!(db.wal().unwrap().records_since_checkpoint(), last - lsn);
+        assert_eq!(db.table("t").unwrap().read().expect("lock").row_count(), rows);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -39,12 +39,33 @@
 //! are byte-for-byte the v1 response block, so the two protocols answer
 //! identically. `busy`/`timeout` shedding is per request ID.
 //!
+//! **Pipelined commit.** An executor never waits for durability: it
+//! appends a statement's WAL record while executing it, parks the encoded
+//! response with the record's LSN on the server's one *committer* thread,
+//! and pops its next statement. The committer takes everything parked,
+//! issues one [`crate::wal::Wal::sync_to`] for the highest LSN, writes
+//! every covered response into its connection's buffer, flushes each
+//! connection once, and only then releases the admission permits —
+//! "acknowledged ⇒ durable" is exactly the v1 contract; only the waiting
+//! moved. If the fsync fails, every statement of that batch answers `err`
+//! and none `ok` (their records may or may not survive a crash, like any
+//! unacknowledged write). The auto-checkpoint runs on the committer *after*
+//! the acknowledgements are out, and a connection's teardown and the
+//! server's drain wait for its parked acknowledgements. v1 connections,
+//! in-process sessions and DDL (which commits inside [`Db`]) wait inline
+//! on the same `sync_to`, so both styles share each other's fsyncs.
+//! `SHOW LIMITS` reports `wal_fsyncs`, `wal_records_synced` (their ratio
+//! is the group size) and `commit_parked`. Every request, response and
+//! pipelined batch is one `write` on a `TCP_NODELAY` socket: a batch of
+//! acknowledgements arrives together, so do the client's refills, and the
+//! next fsync covers all of them.
+//!
 //! ## Concurrency
 //!
-//! Thread-per-connection: each accepted connection gets a
-//! [`Session`], so statements from different clients interleave under the
-//! [`crate::db`] locking discipline (readers `EVAL`/`SELECT` while a
-//! writer `TRAIN`s). Heavy statements fan out internally on the shared
+//! Thread-per-connection (plus the one committer): each accepted
+//! connection gets a [`Session`], so statements from different clients
+//! interleave under the [`crate::db`] locking discipline (readers
+//! `EVAL`/`SELECT` while a writer `TRAIN`s). Heavy statements fan out internally on the shared
 //! [`bolton_sgd::pool`] worker pool, so a single connection's batch score
 //! or training pass still uses every core.
 //!
@@ -79,7 +100,7 @@ use crate::limits::{
 use crate::protocol::{self, Frame, Response};
 use crate::session::Session;
 use crate::sql::{QueryResult, Statement};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
@@ -201,7 +222,12 @@ fn connect(addr: &str) -> std::io::Result<Conn> {
         Some(path) => Ok(Conn::Unix(UnixStream::connect(path)?)),
         #[cfg(not(unix))]
         Some(_) => Err(std::io::Error::other("unix sockets are not supported here")),
-        None => Ok(Conn::Tcp(TcpStream::connect(addr)?)),
+        None => {
+            let stream = TcpStream::connect(addr)?;
+            // Every message is one complete write: Nagle could only delay it.
+            stream.set_nodelay(true)?;
+            Ok(Conn::Tcp(stream))
+        }
     }
 }
 
@@ -224,6 +250,8 @@ struct ServerShared {
     /// The server-wide parse/plan pool, shared by every connection on
     /// both protocol versions.
     engines: EnginePool,
+    /// Where v2 executors park acknowledgements that await an fsync.
+    committer: Committer,
 }
 
 impl ServerShared {
@@ -289,6 +317,7 @@ pub struct RunningServer {
     addr: String,
     shared: Arc<ServerShared>,
     accept: Option<JoinHandle<()>>,
+    committer: Option<JoinHandle<()>>,
     socket_file: Option<PathBuf>,
 }
 
@@ -336,8 +365,7 @@ impl RunningServer {
             let _ = handle.join();
         }
         self.shared.begin_drain();
-        drain_connections(&self.shared);
-        self.cleanup_socket();
+        self.finish();
     }
 
     fn stop_inner(&mut self) {
@@ -345,11 +373,19 @@ impl RunningServer {
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
-        drain_connections(&self.shared);
-        self.cleanup_socket();
+        self.finish();
     }
 
-    fn cleanup_socket(&mut self) {
+    /// Drains the connections, then stops the committer — unless one
+    /// outlived the drain window and may still park on it.
+    fn finish(&mut self) {
+        drain_connections(&self.shared);
+        if self.shared.active.load(Ordering::SeqCst) == 0 {
+            self.shared.committer.close();
+            if let Some(handle) = self.committer.take() {
+                let _ = handle.join();
+            }
+        }
         if let Some(path) = self.socket_file.take() {
             let _ = std::fs::remove_file(path);
         }
@@ -405,6 +441,7 @@ pub fn serve(db: Arc<Db>, config: &ServerConfig) -> DbResult<RunningServer> {
         tokens: Mutex::new(HashMap::new()),
         next_token: AtomicU64::new(0),
         engines: EnginePool::new(limits.parse_engines, limits.parse_cache),
+        committer: Committer::default(),
         limits,
     });
     let accept = {
@@ -414,13 +451,24 @@ pub fn serve(db: Arc<Db>, config: &ServerConfig) -> DbResult<RunningServer> {
             .spawn(move || accept_loop(&listener, &shared))
             .expect("spawn accept thread")
     };
-    Ok(RunningServer { addr, shared, accept: Some(accept), socket_file })
+    let committer = {
+        let shared = Arc::clone(&shared);
+        std::thread::Builder::new()
+            .name("bismarck-commit".to_string())
+            .spawn(move || committer_loop(&shared))
+            .expect("spawn committer thread")
+    };
+    let (accept, committer) = (Some(accept), Some(committer));
+    Ok(RunningServer { addr, shared, accept, committer, socket_file })
 }
 
 fn accept_loop(listener: &Listener, shared: &Arc<ServerShared>) {
     loop {
         let accepted = match listener {
-            Listener::Tcp(l) => l.accept().map(|(s, peer)| (Conn::Tcp(s), peer.ip().to_string())),
+            Listener::Tcp(l) => l.accept().map(|(s, peer)| {
+                let _ = s.set_nodelay(true);
+                (Conn::Tcp(s), peer.ip().to_string())
+            }),
             #[cfg(unix)]
             Listener::Unix(l) => l.accept().map(|(s, _)| (Conn::Unix(s), "local".to_string())),
         };
@@ -433,8 +481,17 @@ fn accept_loop(listener: &Listener, shared: &Arc<ServerShared>) {
             std::thread::sleep(std::time::Duration::from_millis(50));
             continue;
         };
+        // A client that closes one connection and at once opens the next
+        // races the old one's teardown: wait a tick for a slot before refusing.
+        let patience = Instant::now() + TICK;
+        while shared.active.load(Ordering::SeqCst) >= shared.max_connections
+            && Instant::now() < patience
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         if shared.active.load(Ordering::SeqCst) >= shared.max_connections {
-            let _ = writeln!(conn, "err server at connection limit ({})", shared.max_connections);
+            let msg = format!("err server at connection limit ({})\n", shared.max_connections);
+            let _ = conn.write_all(msg.as_bytes());
             continue;
         }
         // Per-address quota: one greedy host sheds before it can occupy
@@ -443,11 +500,11 @@ fn accept_loop(listener: &Listener, shared: &Arc<ServerShared>) {
             Some(quota) => match quota.try_acquire(&peer) {
                 Some(permit) => Some(permit),
                 None => {
-                    let _ = writeln!(
-                        conn,
-                        "err busy connection quota for {peer} exhausted ({} allowed)",
+                    let msg = format!(
+                        "err busy connection quota for {peer} exhausted ({} allowed)\n",
                         shared.limits.max_conn_per_ip
                     );
+                    let _ = conn.write_all(msg.as_bytes());
                     continue;
                 }
             },
@@ -483,6 +540,15 @@ const MAX_STATEMENT_BYTES: usize = 64 * 1024;
 /// How often blocked waits re-check for drain/idle/disconnect.
 const TICK: Duration = Duration::from_millis(25);
 
+/// Send timeout of a connection when `BOLTON_READ_TIMEOUT_MS` sets none.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Whether a read merely ran into the receive timeout (the polling tick).
+fn is_tick(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    matches!(e.kind(), WouldBlock | TimedOut | Interrupted)
+}
+
 /// One bounded line read.
 enum LineRead {
     Line(String),
@@ -507,14 +573,7 @@ fn read_line_capped(
     loop {
         let available = match reader.fill_buf() {
             Ok(available) => available,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
+            Err(e) if is_tick(&e) => {
                 if let (Some(limit), Some(started)) = (line_deadline, line_started) {
                     if started.elapsed() >= limit {
                         return Ok(LineRead::Stalled);
@@ -568,10 +627,10 @@ fn handle_connection(mut conn: Conn, shared: &Arc<ServerShared>) {
     // the protocol sniff, the v1 line reader, and the v2 frame reader all
     // need it to notice shutdown/idle while waiting for bytes.
     let _ = conn.set_read_timeout(Some(TICK));
-    if read_deadline.is_some() {
-        // The send timeout bounds writes to a client that stopped reading.
-        let _ = conn.set_write_timeout(read_deadline);
-    }
+    // The send timeout bounds writes to a client that stopped reading: for
+    // the committer, which writes every v2 connection's acknowledgements,
+    // the difference between a bounded wait and a wedged server.
+    let _ = conn.set_write_timeout(Some(read_deadline.unwrap_or(WRITE_TIMEOUT)));
     let mut reader = BufReader::new(read_half);
     // Sniff the first byte to pick the protocol: [`protocol::MAGIC`] is
     // `>= 0x80` and therefore never starts a UTF-8 statement line, so one
@@ -584,21 +643,14 @@ fn handle_connection(mut conn: Conn, shared: &Arc<ServerShared>) {
         match reader.fill_buf() {
             Ok([]) => return, // clean EOF before the first byte
             Ok(buf) => break buf[0],
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
+            Err(e) if is_tick(&e) => {
                 if let Some(limit) = shared.limits.idle_timeout() {
                     if started.elapsed() >= limit {
-                        let _ = writeln!(
-                            conn,
-                            "err idle connection reaped after {}ms",
+                        let msg = format!(
+                            "err idle connection reaped after {}ms\n",
                             shared.limits.idle_timeout_ms
                         );
+                        let _ = conn.write_all(msg.as_bytes());
                         return;
                     }
                 }
@@ -738,37 +790,15 @@ fn handle_line_connection(
                 }
             }
             stmt => {
-                // Shedding gates, cheapest first: per-connection rate,
-                // global rate, then the admission semaphore. Every
-                // rejection is the structured `err busy retry_after_ms=N`
-                // so clients back off instead of piling on.
-                if let Some(bucket) = &conn_bucket {
-                    if let Err(retry) = bucket.try_acquire() {
-                        if shed_busy(&mut writer, retry).is_err() {
+                let permit = match admit(conn_bucket.as_ref(), shared) {
+                    Ok(permit) => permit,
+                    Err(busy) => {
+                        if writer.write_all(busy.as_bytes()).and_then(|()| writer.flush()).is_err()
+                        {
                             break;
                         }
                         continue;
                     }
-                }
-                if let Some(bucket) = &shared.global_bucket {
-                    if let Err(retry) = bucket.try_acquire() {
-                        if shed_busy(&mut writer, retry).is_err() {
-                            break;
-                        }
-                        continue;
-                    }
-                }
-                let permit = match &shared.admission {
-                    Some(admission) => match admission.try_acquire() {
-                        Some(permit) => Some(permit),
-                        None => {
-                            if shed_busy(&mut writer, Duration::from_millis(10)).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                    },
-                    None => None,
                 };
                 token.arm(shared.limits.stmt_timeout());
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -795,8 +825,12 @@ fn handle_line_connection(
         let _ = handle.join();
     }
     shared.unregister_token(token_id);
-    // The TRAIN→SAVE crash window (REPRODUCING.md): models trained but
-    // never saved live only in memory and die with the server.
+    warn_unsaved(&session);
+}
+
+/// The TRAIN→SAVE crash window (REPRODUCING.md): models trained but never
+/// saved live only in memory and die with the server.
+fn warn_unsaved(session: &Session) {
     let unsaved = session.unsaved_models();
     if !unsaved.is_empty() {
         eprintln!(
@@ -818,6 +852,7 @@ struct Work {
     /// Held until the statement finishes, so pipelined work counts
     /// against `max_active_statements` exactly like v1 statements.
     permit: Option<AdmissionPermit>,
+    conn: InFlight,
 }
 
 /// The dispatcher→executor queue: a closable condvar deque. Depth is
@@ -911,14 +946,7 @@ fn read_frame_capped(
         };
         let available = match reader.fill_buf() {
             Ok(available) => available,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
+            Err(e) if is_tick(&e) => {
                 if let (Some(limit), Some(started)) = (frame_deadline, frame_started) {
                     if started.elapsed() >= limit {
                         return Ok(FrameRead::Stalled);
@@ -948,6 +976,117 @@ enum V2Event {
     Corrupt(String),
 }
 
+/// What a v2 connection's dispatcher, its executors and the committer share.
+struct V2Conn {
+    /// Response frames interleave, so each goes out as one locked write.
+    writer: Mutex<BufWriter<Conn>>,
+    /// Statements admitted and not yet answered: queued, executing, parked.
+    in_flight: Mutex<usize>,
+    /// Signalled when `in_flight` returns to zero; teardown waits on it.
+    drained: Condvar,
+}
+
+/// One admitted, unanswered statement. Dropping it — answered, or unwound
+/// by a panicking executor — is what the connection's teardown waits for.
+struct InFlight(Arc<V2Conn>);
+
+impl InFlight {
+    fn admit(conn: &Arc<V2Conn>) -> Self {
+        *conn.in_flight.lock().expect("in-flight lock") += 1;
+        InFlight(Arc::clone(conn))
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        let mut in_flight = self.0.in_flight.lock().unwrap_or_else(|e| e.into_inner());
+        *in_flight -= 1;
+        if *in_flight == 0 {
+            self.0.drained.notify_all();
+        }
+    }
+}
+
+/// One executed statement whose acknowledgement waits for its WAL record.
+struct Parked {
+    lsn: u64,
+    request_id: u32,
+    /// The encoded response block, sent only if the fsync succeeds.
+    payload: Vec<u8>,
+    conn: InFlight,
+    /// A parked statement still counts against `max_active_statements`.
+    _permit: Option<AdmissionPermit>,
+}
+
+/// The inbox of the server's one committer thread ([`committer_loop`]).
+#[derive(Default)]
+struct Committer {
+    /// Parked acknowledgements, and whether the server has drained.
+    inbox: Mutex<(Vec<Parked>, bool)>,
+    wake: Condvar,
+    /// Acknowledgements parked or being flushed (`SHOW LIMITS`).
+    parked: AtomicUsize,
+}
+
+impl Committer {
+    fn park(&self, parked: Parked) {
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        self.inbox.lock().expect("committer inbox lock").0.push(parked);
+        self.wake.notify_one();
+    }
+
+    /// Lets the committer exit once its inbox is empty.
+    fn close(&self) {
+        self.inbox.lock().expect("committer inbox lock").1 = true;
+        self.wake.notify_one();
+    }
+}
+
+/// The pipelined commit (module docs): one `sync_to` per batch of parked
+/// acknowledgements, `err` to all of it if that fails, one flush per
+/// connection, and the auto-checkpoint only after the answers are out.
+fn committer_loop(shared: &ServerShared) {
+    let committer = &shared.committer;
+    loop {
+        let batch = {
+            let mut inbox = committer.inbox.lock().expect("committer inbox lock");
+            while inbox.0.is_empty() && !inbox.1 {
+                inbox = committer.wake.wait(inbox).expect("committer inbox lock");
+            }
+            if inbox.0.is_empty() {
+                return;
+            }
+            std::mem::take(&mut inbox.0)
+        };
+        let max_lsn = batch.iter().map(|p| p.lsn).max();
+        let failure = shared.db.sync_lsn(max_lsn).err().map(|e| format!("err {e}\n"));
+        let mut conns: Vec<&Arc<V2Conn>> = Vec::new();
+        for p in &batch {
+            let payload = failure.as_ref().map_or(&p.payload[..], |msg| msg.as_bytes());
+            let mut w = p.conn.0.writer.lock().expect("connection writer lock");
+            let _ = protocol::write_frame(&mut *w, 0, p.request_id, payload);
+            if !conns.iter().any(|c| Arc::ptr_eq(c, &p.conn.0)) {
+                conns.push(&p.conn.0);
+            }
+        }
+        for conn in conns {
+            let mut w = conn.writer.lock().expect("connection writer lock");
+            if w.flush().is_err() {
+                // Gone, or not reading for a whole write timeout: cut it so
+                // its later acknowledgements fail at once.
+                let _ = w.get_ref().shutdown();
+            }
+        }
+        committer.parked.fetch_sub(batch.len(), Ordering::Relaxed);
+        drop(batch); // answered: the permits and in-flight counts go back
+        if failure.is_none() {
+            if let Err(e) = shared.db.maybe_checkpoint() {
+                eprintln!("warning: auto-checkpoint failed: {e}");
+            }
+        }
+    }
+}
+
 /// Writes one response frame (payload = the v1 response block) and
 /// flushes, under the connection's shared writer lock.
 fn write_response_frame(
@@ -960,17 +1099,6 @@ fn write_response_frame(
     w.flush()
 }
 
-/// The v2 shed response: `err busy retry_after_ms=N` on the shed
-/// request's own ID, while its pipelined neighbours proceed.
-fn shed_busy_frame(
-    writer: &Mutex<BufWriter<Conn>>,
-    request_id: u32,
-    retry: Duration,
-) -> std::io::Result<()> {
-    let ms = u64::try_from(retry.as_millis()).unwrap_or(u64::MAX).max(1);
-    write_response_frame(writer, request_id, format!("err busy retry_after_ms={ms}\n").as_bytes())
-}
-
 /// One executor: pops admitted statements, runs them on its forked
 /// session (own [`CancelToken`], shared prepared statements), and writes
 /// each response frame as its statement finishes — this is what lets a
@@ -979,28 +1107,32 @@ fn executor_loop(
     session: &mut Session,
     token: &CancelToken,
     queue: &WorkQueue,
-    writer: &Mutex<BufWriter<Conn>>,
-    in_flight: &AtomicUsize,
     shared: &ServerShared,
 ) {
     while let Some(work) = queue.pop() {
-        let Work { request_id, stmt, permit } = work;
+        let Work { request_id, stmt, permit, conn } = work;
         token.arm(shared.limits.stmt_timeout());
         if shared.shutdown.load(Ordering::SeqCst) {
             token.cap_deadline(shared.limits.drain_timeout());
         }
-        let outcome = session.execute(&stmt);
+        let outcome = session.execute_unsynced(&stmt);
         token.disarm();
-        drop(permit);
+        let lsn = outcome.as_ref().ok().and_then(|(_, lsn)| *lsn);
         let mut payload = Vec::new();
         let _ = match outcome {
-            Ok(result) => write_result(&mut payload, &result),
+            Ok((result, _)) => write_result(&mut payload, &result),
             Err(e) => writeln!(payload, "err {e}"),
         };
+        if let Some(lsn) = lsn {
+            // Logged: the committer answers once the record is durable,
+            // and this executor is free for the next statement meanwhile.
+            shared.committer.park(Parked { lsn, request_id, payload, conn, _permit: permit });
+            continue;
+        }
+        drop(permit);
         // A failed write means the client is gone; keep draining so every
         // queued permit is released and the queue empties for join.
-        let _ = write_response_frame(writer, request_id, &payload);
-        in_flight.fetch_sub(1, Ordering::SeqCst);
+        let _ = write_response_frame(&conn.0.writer, request_id, &payload);
     }
 }
 
@@ -1013,15 +1145,17 @@ fn handle_v2_connection(
     let read_deadline = shared.limits.read_timeout();
     let depth = shared.limits.pipeline_depth.max(1);
     let executors = shared.limits.pipeline_executors.max(1);
-    // Executors interleave response frames, so the write half is shared
-    // and each frame goes out as one locked write.
-    let writer = Arc::new(Mutex::new(BufWriter::new(conn)));
+    let conn = Arc::new(V2Conn {
+        writer: Mutex::new(BufWriter::new(conn)),
+        in_flight: Mutex::new(0),
+        drained: Condvar::new(),
+    });
+    let writer = &conn.writer;
     // The base session holds the connection's prepared statements and
     // unsaved-model set; executors fork it, each with its own token.
     let base_token = CancelToken::new();
     let base_session = Session::with_cancel(Arc::clone(&shared.db), base_token.clone());
     let queue = Arc::new(WorkQueue::new());
-    let in_flight = Arc::new(AtomicUsize::new(0));
     let mut exec_tokens = Vec::with_capacity(executors);
     let mut token_ids = Vec::with_capacity(executors);
     let mut exec_handles = Vec::with_capacity(executors);
@@ -1031,12 +1165,10 @@ fn handle_v2_connection(
         exec_tokens.push(token.clone());
         let mut session = base_session.fork(token.clone());
         let queue = Arc::clone(&queue);
-        let writer = Arc::clone(&writer);
-        let in_flight = Arc::clone(&in_flight);
         let shared = Arc::clone(shared);
         let handle =
             std::thread::Builder::new().name(format!("bismarck-exec-{i}")).spawn(move || {
-                executor_loop(&mut session, &token, &queue, &writer, &in_flight, &shared);
+                executor_loop(&mut session, &token, &queue, &shared);
             });
         if let Ok(handle) = handle {
             exec_handles.push(handle);
@@ -1096,13 +1228,14 @@ fn handle_v2_connection(
                     if let Some(limit) = shared.limits.idle_timeout() {
                         // Only reap a connection with nothing in flight: a
                         // client silently awaiting a long TRAIN is not idle.
-                        if in_flight.load(Ordering::SeqCst) == 0 && last_activity.elapsed() >= limit
+                        if *conn.in_flight.lock().expect("in-flight lock") == 0
+                            && last_activity.elapsed() >= limit
                         {
                             let msg = format!(
                                 "err idle connection reaped after {}ms\n",
                                 shared.limits.idle_timeout_ms
                             );
-                            let _ = write_response_frame(&writer, 0, msg.as_bytes());
+                            let _ = write_response_frame(writer, 0, msg.as_bytes());
                             break 'conn;
                         }
                     }
@@ -1117,7 +1250,7 @@ fn handle_v2_connection(
                 let msg = format!(
                     "err statement exceeds {MAX_STATEMENT_BYTES} bytes (frame len {len})\n"
                 );
-                let _ = write_response_frame(&writer, request_id, msg.as_bytes());
+                let _ = write_response_frame(writer, request_id, msg.as_bytes());
                 break;
             }
             V2Event::Stalled => {
@@ -1125,21 +1258,21 @@ fn handle_v2_connection(
                     "err read timeout: frame incomplete after {}ms\n",
                     shared.limits.read_timeout_ms
                 );
-                let _ = write_response_frame(&writer, 0, msg.as_bytes());
+                let _ = write_response_frame(writer, 0, msg.as_bytes());
                 break;
             }
             V2Event::Corrupt(detail) => {
                 // The stream is desynchronized; answering on ID 0 then
                 // closing is the only bounded response.
                 let msg = format!("err protocol {detail}\n");
-                let _ = write_response_frame(&writer, 0, msg.as_bytes());
+                let _ = write_response_frame(writer, 0, msg.as_bytes());
                 break;
             }
         };
         let id = frame.request_id;
         if frame.flags != 0 {
             let msg = format!("err protocol reserved flags 0x{:02x} must be 0\n", frame.flags);
-            if write_response_frame(&writer, id, msg.as_bytes()).is_err() {
+            if write_response_frame(writer, id, msg.as_bytes()).is_err() {
                 break;
             }
             continue;
@@ -1147,20 +1280,20 @@ fn handle_v2_connection(
         let text = String::from_utf8_lossy(&frame.payload);
         let statement = text.trim();
         if statement.is_empty() {
-            if write_response_frame(&writer, id, b"err empty statement\n").is_err() {
+            if write_response_frame(writer, id, b"err empty statement\n").is_err() {
                 break;
             }
             continue;
         }
         if statement == "\\q" || statement.eq_ignore_ascii_case("quit") {
-            let _ = write_response_frame(&writer, id, b"ok bye\n");
+            let _ = write_response_frame(writer, id, b"ok bye\n");
             break;
         }
         let stmt = match shared.engines.parse(statement) {
             Ok(stmt) => stmt,
             Err(e) => {
                 let msg = format!("err {e}\n");
-                if write_response_frame(&writer, id, msg.as_bytes()).is_err() {
+                if write_response_frame(writer, id, msg.as_bytes()).is_err() {
                     break;
                 }
                 continue;
@@ -1168,7 +1301,7 @@ fn handle_v2_connection(
         };
         match &*stmt {
             Statement::Shutdown => {
-                let _ = write_response_frame(&writer, id, b"ok bye\n");
+                let _ = write_response_frame(writer, id, b"ok bye\n");
                 shared.begin_drain();
                 break;
             }
@@ -1176,77 +1309,70 @@ fn handle_v2_connection(
                 // Cheap and session-free: answered inline, never queued.
                 let mut payload = Vec::new();
                 let _ = write_limits(&mut payload, shared);
-                if write_response_frame(&writer, id, &payload).is_err() {
+                if write_response_frame(writer, id, &payload).is_err() {
                     break;
                 }
             }
             _ => {
-                // The same shedding gates as v1, cheapest first — but each
-                // rejection answers on the shed request's own ID.
-                if let Some(bucket) = &conn_bucket {
-                    if let Err(retry) = bucket.try_acquire() {
-                        if shed_busy_frame(&writer, id, retry).is_err() {
+                // The same gates as v1, but a rejection answers on the
+                // shed request's own ID while its neighbours proceed.
+                let permit = match admit(conn_bucket.as_ref(), shared) {
+                    Ok(permit) => permit,
+                    Err(busy) => {
+                        if write_response_frame(writer, id, busy.as_bytes()).is_err() {
                             break;
                         }
                         continue;
                     }
-                }
-                if let Some(bucket) = &shared.global_bucket {
-                    if let Err(retry) = bucket.try_acquire() {
-                        if shed_busy_frame(&writer, id, retry).is_err() {
-                            break;
-                        }
-                        continue;
-                    }
-                }
-                let permit = match &shared.admission {
-                    Some(admission) => match admission.try_acquire() {
-                        Some(permit) => Some(permit),
-                        None => {
-                            if shed_busy_frame(&writer, id, Duration::from_millis(10)).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                    },
-                    None => None,
                 };
-                in_flight.fetch_add(1, Ordering::SeqCst);
-                queue.push(Work { request_id: id, stmt, permit });
+                queue.push(Work { request_id: id, stmt, permit, conn: InFlight::admit(&conn) });
             }
         }
     }
-    // Teardown: stop feeding the executors and let them drain — every
-    // queued response still reaches a connected client — then unblock
+    // Teardown: stop feeding the executors and let them drain, then wait
+    // for the committer to answer what they parked — every admitted
+    // statement's response still reaches a connected client — then unblock
     // and join the reader so no thread outlives the accounting.
     queue.close();
     for handle in exec_handles {
         let _ = handle.join();
     }
+    let mut in_flight = conn.in_flight.lock().expect("in-flight lock");
+    while *in_flight > 0 {
+        in_flight = conn.drained.wait(in_flight).expect("in-flight lock");
+    }
+    drop(in_flight);
     let _ = ctrl.shutdown();
-    drop(writer);
     if let Ok(handle) = reader_handle {
         let _ = handle.join();
     }
     for id in token_ids {
         shared.unregister_token(id);
     }
-    let unsaved = base_session.unsaved_models();
-    if !unsaved.is_empty() {
-        eprintln!(
-            "warning: session closed with unsaved model(s) {} — \
-             run SAVE MODEL <name> to persist them to the registry",
-            unsaved.join(", ")
-        );
-    }
+    warn_unsaved(&base_session);
 }
 
-/// The structured shed response: clients parse `retry_after_ms` and back
-/// off. Rounds sub-millisecond waits up so a client never retries hot.
-fn shed_busy(w: &mut impl Write, retry: Duration) -> std::io::Result<()> {
-    let ms = u64::try_from(retry.as_millis()).unwrap_or(u64::MAX).max(1);
-    writeln!(w, "err busy retry_after_ms={ms}")?;
-    w.flush()
+/// The shedding gates, cheapest first: per-connection rate, global rate,
+/// then the admission semaphore. A rejection is the structured response
+/// line `err busy retry_after_ms=N` (sub-millisecond waits rounded up), so
+/// clients back off instead of piling on or retrying hot.
+fn admit(
+    conn_bucket: Option<&TokenBucket>,
+    shared: &ServerShared,
+) -> Result<Option<AdmissionPermit>, String> {
+    let busy = |retry: Duration| {
+        let ms = u64::try_from(retry.as_millis()).unwrap_or(u64::MAX).max(1);
+        format!("err busy retry_after_ms={ms}\n")
+    };
+    for bucket in [conn_bucket, shared.global_bucket.as_ref()].into_iter().flatten() {
+        bucket.try_acquire().map_err(busy)?;
+    }
+    match &shared.admission {
+        Some(admission) => {
+            admission.try_acquire().map(Some).ok_or_else(|| busy(Duration::from_millis(10)))
+        }
+        None => Ok(None),
+    }
 }
 
 /// `SHOW LIMITS`: every knob plus the live counters, one `key=value` per
@@ -1255,6 +1381,8 @@ fn write_limits(w: &mut impl Write, shared: &ServerShared) -> std::io::Result<()
     let l = &shared.limits;
     let in_flight = shared.admission.as_ref().map_or(0, |a| a.in_flight());
     let parse_stats = shared.engines.stats();
+    let (wal_fsyncs, wal_records_synced) =
+        shared.db.wal().map_or((0, 0), |w| (w.fsyncs(), w.records_synced()));
     let entries: &[(&str, u64)] = &[
         ("stmt_timeout_ms", l.stmt_timeout_ms),
         ("rate_limit", l.rate_limit),
@@ -1273,6 +1401,9 @@ fn write_limits(w: &mut impl Write, shared: &ServerShared) -> std::io::Result<()
         ("parse_cache_capacity", l.parse_cache as u64),
         ("parse_cache_hits", parse_stats.hits),
         ("parse_cache_misses", parse_stats.misses),
+        ("wal_fsyncs", wal_fsyncs),
+        ("wal_records_synced", wal_records_synced),
+        ("commit_parked", shared.committer.parked.load(Ordering::Relaxed) as u64),
     ];
     for (key, value) in entries {
         writeln!(w, "* {key}={value}")?;
@@ -1365,9 +1496,13 @@ impl Client {
     /// # Errors
     /// Connection failures.
     pub fn connect(addr: &str) -> DbResult<Self> {
+        Self::open(addr, Transport::Line)
+    }
+
+    fn open(addr: &str, transport: Transport) -> DbResult<Self> {
         let conn = connect(addr)?;
         let read_half = conn.try_clone()?;
-        Ok(Self { reader: BufReader::new(read_half), writer: conn, transport: Transport::Line })
+        Ok(Self { reader: BufReader::new(read_half), writer: conn, transport })
     }
 
     /// Connects with the v2 binary framing on the same listener (the
@@ -1376,13 +1511,7 @@ impl Client {
     /// # Errors
     /// Connection failures.
     pub fn connect_v2(addr: &str) -> DbResult<Self> {
-        let conn = connect(addr)?;
-        let read_half = conn.try_clone()?;
-        Ok(Self {
-            reader: BufReader::new(read_half),
-            writer: conn,
-            transport: Transport::Binary { next_id: 1 },
-        })
+        Self::open(addr, Transport::Binary { next_id: 1 })
     }
 
     /// Whether this client speaks the v2 binary framing.
@@ -1423,14 +1552,66 @@ impl Client {
                 "recv_response needs a v2 connection (Client::connect_v2)".to_string(),
             ));
         }
-        let frame = protocol::read_frame(&mut self.reader, protocol::MAX_FRAME_PAYLOAD)?
-            .ok_or_else(|| {
-                DbError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection mid-response",
-                ))
-            })?;
+        let frame = self.recv_frame()?;
         Ok((frame.request_id, Response::from_payload(&frame.payload)))
+    }
+
+    fn recv_frame(&mut self) -> DbResult<Frame> {
+        protocol::read_frame(&mut self.reader, protocol::MAX_FRAME_PAYLOAD)?.ok_or_else(|| {
+            DbError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection mid-response",
+            ))
+        })
+    }
+
+    /// Sends every statement in one `write` — `statement\n`… or all the
+    /// batch's v2 frames in one buffer, so no half-message ever waits on
+    /// the peer's delayed ACK — then collects each statement's response
+    /// block (data lines first, terminator last) in request order.
+    fn exchange(&mut self, statements: &[&str]) -> DbResult<Vec<Vec<String>>> {
+        let mut bytes = Vec::new();
+        match &mut self.transport {
+            Transport::Line => {
+                for statement in statements {
+                    bytes.extend_from_slice(statement.as_bytes());
+                    bytes.push(b'\n');
+                }
+                self.writer.write_all(&bytes)?;
+                let mut blocks = Vec::with_capacity(statements.len());
+                for _ in statements {
+                    blocks.push(protocol::read_response_block(&mut self.reader)?);
+                }
+                Ok(blocks)
+            }
+            Transport::Binary { next_id } => {
+                let first = *next_id;
+                for statement in statements {
+                    protocol::encode_into(&mut bytes, 0, *next_id, statement.as_bytes());
+                    *next_id = next_id.wrapping_add(1);
+                }
+                self.writer.write_all(&bytes)?;
+                // The server may complete them out of order; the request
+                // IDs put them back.
+                let mut blocks = vec![None; statements.len()];
+                for _ in statements {
+                    let frame = self.recv_frame()?;
+                    let slot = blocks
+                        .get_mut(frame.request_id.wrapping_sub(first) as usize)
+                        .filter(|slot| slot.is_none())
+                        .ok_or_else(|| {
+                            DbError::Parse(format!(
+                                "response for request {} while awaiting {first}.. — use \
+                                 recv_response() for statements sent with send_request()",
+                                frame.request_id
+                            ))
+                        })?;
+                    let text = String::from_utf8_lossy(&frame.payload);
+                    *slot = Some(text.lines().map(str::to_string).collect());
+                }
+                Ok(blocks.into_iter().flatten().collect())
+            }
+        }
     }
 
     /// Sends one statement and collects the full response block: data
@@ -1440,31 +1621,7 @@ impl Client {
     /// # Errors
     /// I/O failures or a server that hangs up mid-response.
     pub fn request(&mut self, statement: &str) -> DbResult<Vec<String>> {
-        match &mut self.transport {
-            Transport::Line => {
-                writeln!(self.writer, "{statement}")?;
-                self.writer.flush()?;
-                Ok(protocol::read_response_block(&mut self.reader)?)
-            }
-            Transport::Binary { .. } => {
-                let id = self.send_request(statement)?;
-                let frame = protocol::read_frame(&mut self.reader, protocol::MAX_FRAME_PAYLOAD)?
-                    .ok_or_else(|| {
-                        DbError::Io(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "server closed the connection mid-response",
-                        ))
-                    })?;
-                if frame.request_id != id {
-                    return Err(DbError::Parse(format!(
-                        "response for request {} while awaiting {id} — \
-                         use pipeline()/recv_response() for pipelined statements",
-                        frame.request_id
-                    )));
-                }
-                Ok(String::from_utf8_lossy(&frame.payload).lines().map(str::to_string).collect())
-            }
-        }
+        Ok(self.exchange(&[statement])?.pop().expect("one block per statement"))
     }
 
     /// [`Client::request`], returning just the terminator line and
@@ -1503,43 +1660,7 @@ impl Client {
     /// Transport failures; server-side `err`s come back as
     /// [`Response::Err`] entries.
     pub fn pipeline(&mut self, statements: &[&str]) -> DbResult<Vec<Response>> {
-        match &mut self.transport {
-            Transport::Line => {
-                for statement in statements {
-                    writeln!(self.writer, "{statement}")?;
-                }
-                self.writer.flush()?;
-                let mut responses = Vec::with_capacity(statements.len());
-                for _ in statements {
-                    let lines = protocol::read_response_block(&mut self.reader)?;
-                    responses.push(Response::from_lines(&lines));
-                }
-                Ok(responses)
-            }
-            Transport::Binary { .. } => {
-                let mut ids = Vec::with_capacity(statements.len());
-                for statement in statements {
-                    let Transport::Binary { next_id } = &mut self.transport else { unreachable!() };
-                    let id = *next_id;
-                    *next_id = next_id.wrapping_add(1);
-                    protocol::write_frame(&mut self.writer, 0, id, statement.as_bytes())?;
-                    ids.push(id);
-                }
-                self.writer.flush()?;
-                let mut by_id = BTreeMap::new();
-                while by_id.len() < ids.len() {
-                    let (id, response) = self.recv_response()?;
-                    by_id.insert(id, response);
-                }
-                ids.iter()
-                    .map(|id| {
-                        by_id
-                            .remove(id)
-                            .ok_or_else(|| DbError::Parse(format!("no response for request {id}")))
-                    })
-                    .collect()
-            }
-        }
+        Ok(self.exchange(statements)?.iter().map(|lines| Response::from_lines(lines)).collect())
     }
 }
 
@@ -1578,6 +1699,22 @@ mod tests {
         // Multi-line responses.
         let lines = client.request("SHOW TABLES").unwrap();
         assert_eq!(lines, vec!["* t".to_string(), "ok count=1".to_string()]);
+        server.stop();
+    }
+
+    #[test]
+    fn v1_round_trips_do_not_stall_on_delayed_acks() {
+        let (server, _db) = spawn_server();
+        let mut client = Client::connect(server.addr()).unwrap();
+        client.expect_ok("CREATE TABLE t (DIM 2)").unwrap();
+        // A request split over two writes on a Nagle'd socket costs one
+        // 40 ms delayed ACK per round trip: 50 of them took ≈ 2.2 s.
+        let start = Instant::now();
+        for _ in 0..50 {
+            assert_eq!(client.expect_ok("SELECT COUNT(*) FROM t").unwrap(), "ok count=0");
+        }
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "50 v1 round trips took {took:?}");
         server.stop();
     }
 
@@ -1677,7 +1814,9 @@ mod tests {
         assert!(lines.contains(&"* active_connections=1".to_string()), "{lines:?}");
         assert!(lines.contains(&"* pipeline_executors=4".to_string()), "{lines:?}");
         assert!(lines.contains(&"* parse_cache_capacity=256".to_string()), "{lines:?}");
-        assert_eq!(lines.last().unwrap(), "ok count=17");
+        assert!(lines.contains(&"* wal_fsyncs=0".to_string()), "{lines:?}");
+        assert!(lines.contains(&"* commit_parked=0".to_string()), "{lines:?}");
+        assert_eq!(lines.last().unwrap(), "ok count=20");
         // SHOW LIMITS cannot hide inside a prepared statement.
         let nested = client.request("PREPARE q AS SHOW LIMITS").unwrap();
         assert!(nested.last().unwrap().starts_with("err"), "{nested:?}");

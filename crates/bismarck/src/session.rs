@@ -251,9 +251,27 @@ impl Session {
     /// Catalog/storage/model errors; [`DbError::Cancelled`] on deadline
     /// expiry or disconnect.
     pub fn execute(&mut self, stmt: &Statement) -> DbResult<QueryResult> {
+        let (result, lsn) = self.execute_unsynced(stmt)?;
+        if lsn.is_some() {
+            self.db.sync_lsn(lsn)?;
+            self.db.maybe_checkpoint()?;
+        }
+        Ok(result)
+    }
+
+    /// [`Session::execute`] minus the wait for durability: also returns the
+    /// LSN of the last record the statement logged. The caller must not
+    /// acknowledge until `Db::sync_lsn` covers it — `execute` waits inline,
+    /// the v2 server parks the response on its committer.
+    pub(crate) fn execute_unsynced(
+        &mut self,
+        stmt: &Statement,
+    ) -> DbResult<(QueryResult, Option<u64>)> {
         self.cancel.check()?;
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.execute_inner(stmt))) {
-            Ok(result) => result,
+        let mut logged = None;
+        let run = std::panic::AssertUnwindSafe(|| self.execute_inner(stmt, &mut logged));
+        match std::panic::catch_unwind(run) {
+            Ok(result) => result.map(|r| (r, logged)),
             Err(payload) => match payload.downcast::<CancelUnwind>() {
                 Ok(marker) => Err(DbError::Cancelled(marker.0)),
                 Err(other) => std::panic::resume_unwind(other),
@@ -261,7 +279,13 @@ impl Session {
         }
     }
 
-    fn execute_inner(&mut self, stmt: &Statement) -> DbResult<QueryResult> {
+    /// The statement bodies; SYNTH, INSERT, SHUFFLE and COPY FROM leave the
+    /// LSN to wait for in `logged` instead of syncing.
+    fn execute_inner(
+        &mut self,
+        stmt: &Statement,
+        logged: &mut Option<u64>,
+    ) -> DbResult<QueryResult> {
         match stmt {
             Statement::CreateTable { name, dim, disk } => {
                 let backing = if *disk { Backing::TempFile } else { Backing::Memory };
@@ -310,8 +334,7 @@ impl Session {
                     table.note_lsn(l);
                 }
                 drop(table);
-                self.db.sync_lsn(lsn)?;
-                self.db.maybe_checkpoint()?;
+                *logged = lsn;
                 Ok(QueryResult::Ok)
             }
             Statement::Insert { name, values } => {
@@ -326,8 +349,7 @@ impl Session {
                 let (features, label) = values.split_at(values.len() - 1);
                 let lsn = self.db.log_apply_insert(&mut table, name, features, label[0])?;
                 drop(table);
-                self.db.sync_lsn(lsn)?;
-                self.db.maybe_checkpoint()?;
+                *logged = lsn;
                 Ok(QueryResult::Ok)
             }
             Statement::Count { name } => {
@@ -361,8 +383,7 @@ impl Session {
                     table.note_lsn(l);
                 }
                 drop(table);
-                self.db.sync_lsn(lsn)?;
-                self.db.maybe_checkpoint()?;
+                *logged = lsn;
                 Ok(QueryResult::Ok)
             }
             Statement::DropTable { name } => {
@@ -374,8 +395,8 @@ impl Session {
                 let handle = self.db.table(name)?;
                 let mut table = handle.write().expect("table lock");
                 // Parse (and width-check) the whole file before touching the
-                // table, then log+apply each row under the one write lock
-                // with a single group-commit fsync at the end.
+                // table, then log+apply each row under the one write lock;
+                // waiting on the last LSN covers them all with one fsync.
                 let rows = sql::read_csv_rows(path, table.dim())?;
                 let mut last_lsn = None;
                 for (features, label) in &rows {
@@ -383,8 +404,7 @@ impl Session {
                 }
                 table.flush()?;
                 drop(table);
-                self.db.sync_lsn(last_lsn)?;
-                self.db.maybe_checkpoint()?;
+                *logged = last_lsn;
                 Ok(QueryResult::Count(rows.len()))
             }
             Statement::CopyTo { name, path } => {
@@ -458,7 +478,9 @@ impl Session {
                             .to_string(),
                     ));
                 }
-                self.execute(&inner)
+                let (result, lsn) = self.execute_unsynced(&inner)?;
+                *logged = lsn;
+                Ok(result)
             }
             Statement::Shutdown => Err(DbError::Parse(
                 "SHUTDOWN is only available over a server connection".to_string(),

@@ -17,25 +17,32 @@
 //! expected signature of a crash mid-append, not corruption, and the bytes
 //! after it are garbage by definition.
 //!
-//! Commits use **group commit**: [`Wal::append`] only buffers the frame
-//! under a short lock; [`Wal::sync_to`] then makes it durable, and any one
-//! fsync covers every record appended before it started. Concurrent
-//! sessions therefore coalesce onto a single fsync instead of paying one
-//! each — the `durable_lsn` fast path lets the latecomers skip the syscall
-//! entirely. An optional batching window ([`WalConfig::sync_window`], the
-//! `BOLTON_WAL_SYNC_WINDOW_US` knob) makes the syncing thread linger
-//! briefly before issuing the fsync so even more committers pile onto it;
-//! the durability contract is unchanged because the covered LSN is
-//! captured *after* the wait.
+//! Commits use **group commit**. *Whoever executes a statement appends*:
+//! [`Wal::append`] only buffers the frame under a short lock and hands back
+//! its LSN. *One waiter fsyncs*: [`Wal::sync_to`] makes an LSN durable, any
+//! one fsync covers every record appended before it started, and latecomers
+//! return on the `durable_lsn` fast path without a syscall. *Nobody
+//! acknowledges before that returns*: in-process callers and v1 connections
+//! wait inline; a v2 connection's executors park their responses on the
+//! server's one committer thread ([`crate::server`]), which fsyncs once for
+//! everything parked and answers the whole batch — no executor sleeps in
+//! `fsync`, and the group grows to the client's pipeline depth
+//! ([`Wal::records_synced`] ÷ [`Wal::fsyncs`]). An optional batching window
+//! ([`WalConfig::sync_window`], `BOLTON_WAL_SYNC_WINDOW_US`) makes the
+//! syncing thread linger so more committers pile on — rarely needed now
+//! that pipelined acknowledgements batch themselves; durability is
+//! unchanged because the covered LSN is captured *after* the wait.
 //!
 //! The log is split into **segments** — `wal-000001.log`,
 //! `wal-000002.log`, … — sealed once they exceed
 //! [`WalConfig::segment_bytes`]. Recovery replays segments in sequence
 //! order with the same torn-tail rules (a tear in one segment discards it
-//! and every later segment), and [`Wal::reset`] after a checkpoint simply
-//! *deletes* covered segments instead of rewriting an unbounded tail. A
-//! surviving segment may still hold records at or below the checkpoint
-//! LSN; [`Db::open`](crate::db::Db::open) skips those during replay.
+//! and every later segment). A checkpoint [`Wal::seal`]s the active
+//! segment while no append can run, so its LSN is a segment boundary and
+//! [`Wal::reset`] afterwards simply *deletes* every covered segment instead
+//! of rewriting an unbounded tail. (A segment that survives a crash between
+//! the two may still hold records at or below the checkpoint LSN;
+//! [`Db::open`](crate::db::Db::open) skips those during replay.)
 //!
 //! Floats are encoded as their IEEE-754 bit patterns, so replayed rows are
 //! bit-identical to what was logged.
@@ -380,6 +387,10 @@ pub struct Wal {
     sync: Mutex<()>,
     /// Highest LSN known durable; the lock-free fast path of `sync_to`.
     durable_lsn: AtomicU64,
+    /// Fsyncs of the log issued, and records they made durable: the group
+    /// size is their ratio. Statistics only, hence relaxed.
+    fsyncs: AtomicU64,
+    records_synced: AtomicU64,
     /// Appends since the last checkpoint, for the auto-checkpoint knob.
     records_since_checkpoint: AtomicU64,
 }
@@ -492,6 +503,8 @@ impl Wal {
             }),
             sync: Mutex::new(()),
             durable_lsn: AtomicU64::new(last_lsn),
+            fsyncs: AtomicU64::new(0),
+            records_synced: AtomicU64::new(0),
             records_since_checkpoint: AtomicU64::new(fresh),
         };
         Ok((wal, records))
@@ -526,7 +539,7 @@ impl Wal {
     /// file's entry durable before any record in it can be acknowledged.
     fn rotate(&self, state: &mut AppendState) -> DbResult<()> {
         state.file.sync()?;
-        self.durable_lsn.fetch_max(state.appended_lsn, Ordering::AcqRel);
+        self.note_synced(state.appended_lsn);
         let next_seq = state.seq + 1;
         let file = self.vfs.create(&self.dir.join(segment_file_name(next_seq)))?;
         self.vfs.sync_dir(&self.dir)?;
@@ -578,8 +591,15 @@ impl Wal {
         // its segment was sealed, so syncing the active one covers
         // everything up to `covered`.
         file.sync()?;
-        self.durable_lsn.fetch_max(covered, Ordering::AcqRel);
+        self.note_synced(covered);
         Ok(())
+    }
+
+    /// Records one successful fsync of the log that covered up to `covered`.
+    fn note_synced(&self, covered: u64) {
+        let was = self.durable_lsn.fetch_max(covered, Ordering::AcqRel);
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        self.records_synced.fetch_add(covered.saturating_sub(was), Ordering::Relaxed);
     }
 
     /// Syncs everything appended so far and returns the covered LSN.
@@ -590,6 +610,22 @@ impl Wal {
         let appended = self.append.lock().expect("wal append lock").appended_lsn;
         self.sync_to_force(appended)?;
         Ok(appended)
+    }
+
+    /// Syncs everything appended so far and seals the active segment if it
+    /// holds anything, returning the covered LSN. A checkpoint calls this
+    /// while its guards exclude appends: the LSN is then a segment boundary
+    /// and [`Wal::reset`] deletes the whole covered prefix.
+    ///
+    /// # Errors
+    /// I/O failures.
+    pub fn seal(&self) -> DbResult<u64> {
+        let _sync = self.sync.lock().expect("wal sync lock");
+        let mut state = self.append.lock().expect("wal append lock");
+        if state.segment_len > 0 {
+            self.rotate(&mut state)?;
+        }
+        Ok(state.appended_lsn)
     }
 
     /// Deletes log segments a checkpoint at `covered_lsn` made redundant:
@@ -613,7 +649,7 @@ impl Wal {
         // Flush buffered appends first (making the unacked tail durable
         // early is harmless) so nothing in a doomed page cache is lost.
         state.file.sync()?;
-        self.durable_lsn.fetch_max(state.appended_lsn, Ordering::AcqRel);
+        self.note_synced(state.appended_lsn);
         let mut kept = Vec::new();
         for seg in state.sealed.drain(..) {
             if seg.last_lsn <= covered_lsn {
@@ -649,6 +685,16 @@ impl Wal {
     /// Highest LSN known durable.
     pub fn durable_lsn(&self) -> u64 {
         self.durable_lsn.load(Ordering::Acquire)
+    }
+
+    /// Fsyncs of the log issued since open.
+    pub fn fsyncs(&self) -> u64 {
+        self.fsyncs.load(Ordering::Relaxed)
+    }
+
+    /// Records those fsyncs made durable; `÷ fsyncs` is the group size.
+    pub fn records_synced(&self) -> u64 {
+        self.records_synced.load(Ordering::Relaxed)
     }
 
     /// Records appended since the last checkpoint (or open).

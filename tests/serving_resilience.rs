@@ -316,3 +316,275 @@ fn overload_sheds_with_busy_while_admitted_results_stay_bit_identical() {
     assert!(shed_total > 0, "the flood never triggered admission shedding");
     server.stop();
 }
+
+// ---------------------------------------------------------------------------
+// Pipelined commit: who may be acknowledged, and when
+// ---------------------------------------------------------------------------
+
+mod pipelined_commit {
+    use super::temp_dir;
+    use bolton_bismarck::fault::{StdVfs, Vfs, VfsFile};
+    use bolton_bismarck::protocol::{self, Response};
+    use bolton_bismarck::server::{serve, Client, RunningServer};
+    use bolton_bismarck::{Db, DbError, DurabilityOptions, ServerConfig};
+    use std::collections::HashMap;
+    use std::io::Write;
+    use std::net::{Shutdown, TcpStream};
+    use std::path::Path;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Condvar, Mutex};
+    use std::time::Duration;
+
+    /// What the tests do to every file `sync` of a [`ControlledVfs`]: slow
+    /// it, hold it at a gate, fail it.
+    #[derive(Default)]
+    struct SyncControl {
+        delay: Duration,
+        held: Mutex<bool>,
+        released: Condvar,
+        fail: AtomicBool,
+    }
+
+    impl SyncControl {
+        fn hold(&self) {
+            *self.held.lock().unwrap() = true;
+        }
+
+        fn release(&self) {
+            *self.held.lock().unwrap() = false;
+            self.released.notify_all();
+        }
+    }
+
+    /// The real filesystem, with `fsync` under the test's control.
+    struct ControlledVfs(Arc<SyncControl>);
+
+    struct ControlledFile {
+        inner: Arc<dyn VfsFile>,
+        control: Arc<SyncControl>,
+    }
+
+    impl VfsFile for ControlledFile {
+        fn write_all(&self, buf: &[u8]) -> Result<(), DbError> {
+            self.inner.write_all(buf)
+        }
+
+        fn sync(&self) -> Result<(), DbError> {
+            std::thread::sleep(self.control.delay);
+            let mut held = self.control.held.lock().unwrap();
+            while *held {
+                held = self.control.released.wait(held).unwrap();
+            }
+            drop(held);
+            if self.control.fail.load(Ordering::SeqCst) {
+                return Err(DbError::Io(std::io::Error::other("injected fsync failure")));
+            }
+            self.inner.sync()
+        }
+    }
+
+    impl Vfs for ControlledVfs {
+        fn create(&self, path: &Path) -> Result<Arc<dyn VfsFile>, DbError> {
+            let inner = StdVfs.create(path)?;
+            Ok(Arc::new(ControlledFile { inner, control: Arc::clone(&self.0) }))
+        }
+
+        fn open_append(&self, path: &Path) -> Result<Arc<dyn VfsFile>, DbError> {
+            let inner = StdVfs.open_append(path)?;
+            Ok(Arc::new(ControlledFile { inner, control: Arc::clone(&self.0) }))
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> Result<(), DbError> {
+            StdVfs.rename(from, to)
+        }
+
+        fn truncate(&self, path: &Path, len: u64) -> Result<(), DbError> {
+            StdVfs.truncate(path, len)
+        }
+
+        fn sync_file(&self, path: &Path) -> Result<(), DbError> {
+            StdVfs.sync_file(path)
+        }
+
+        fn sync_dir(&self, dir: &Path) -> Result<(), DbError> {
+            StdVfs.sync_dir(dir)
+        }
+
+        fn remove_file(&self, path: &Path) -> Result<(), DbError> {
+            StdVfs.remove_file(path)
+        }
+    }
+
+    /// A durable server over a [`ControlledVfs`], with `CREATE TABLE t (DIM
+    /// 1)` acknowledged.
+    fn served(dir: &Path, control: &Arc<SyncControl>) -> (RunningServer, Arc<Db>) {
+        let vfs = Arc::new(ControlledVfs(Arc::clone(control)));
+        let db = Arc::new(Db::open_with(DurabilityOptions::new(dir).vfs(vfs)).unwrap());
+        let server = serve(Arc::clone(&db), &ServerConfig::default()).unwrap();
+        Client::connect_v2(server.addr()).unwrap().expect_ok("CREATE TABLE t (DIM 1)").unwrap();
+        (server, db)
+    }
+
+    fn insert(value: usize) -> String {
+        format!("INSERT INTO t VALUES ({value}, 1)")
+    }
+
+    /// Blocks until `SHOW LIMITS` (answered by the dispatcher, never
+    /// queued) reports `n` acknowledgements parked on the committer.
+    fn wait_for_parked(addr: &str, n: usize) {
+        let mut probe = Client::connect_v2(addr).unwrap();
+        let want = format!("commit_parked={n}");
+        while !probe.query("SHOW LIMITS").unwrap().rows().contains(&want) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The first feature of every row of `t`, in scan (= log) order.
+    fn recovered_values(dir: &Path) -> Vec<usize> {
+        let db = Db::open(dir).unwrap();
+        let handle = db.table("t").unwrap();
+        let mut values = Vec::new();
+        handle.read().unwrap().scan_rows(&mut |_, x, _| values.push(x[0] as usize)).unwrap();
+        values
+    }
+
+    /// (a) An fsync error fails its whole batch: every statement parked
+    /// behind it answers `err`, none `ok` — and nothing answered `ok`
+    /// earlier is missing after a reopen.
+    #[test]
+    fn a_failed_fsync_answers_err_to_every_parked_statement_and_ok_to_none() {
+        let dir = temp_dir("fsync-fail");
+        let control = Arc::new(SyncControl::default());
+        let (server, db) = served(&dir, &control);
+        let mut c = Client::connect_v2(server.addr()).unwrap();
+        c.expect_ok(&insert(1)).unwrap();
+        c.expect_ok(&insert(2)).unwrap();
+
+        // Hold the next fsync until all eight are parked, then fail it.
+        control.hold();
+        for value in 100..108 {
+            c.send_request(&insert(value)).unwrap();
+        }
+        wait_for_parked(server.addr(), 8);
+        control.fail.store(true, Ordering::SeqCst);
+        control.release();
+        for _ in 0..8 {
+            let (_, response) = c.recv_response().unwrap();
+            assert!(matches!(response, Response::Err { .. }), "acknowledged: {response:?}");
+        }
+        drop(c);
+        server.stop();
+        drop(db);
+
+        let values = recovered_values(&dir);
+        assert!(values.contains(&1) && values.contains(&2), "an acked row is gone: {values:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// (b) Behind a 2 ms fsync, 64 inserts kept 8 deep on one connection
+    /// share fsyncs (an executor sleeping in its own fsync would need about
+    /// one each), and no acknowledgement precedes the fsync that covers it.
+    #[test]
+    fn pipelined_inserts_share_fsyncs_and_are_never_acknowledged_early() {
+        let dir = temp_dir("fsync-slow");
+        let control =
+            Arc::new(SyncControl { delay: Duration::from_millis(2), ..SyncControl::default() });
+        let (server, db) = served(&dir, &control);
+        let wal = db.wal().unwrap();
+        let fsyncs_before = wal.fsyncs();
+        let mut c = Client::connect_v2(server.addr()).unwrap();
+        let mut in_flight: HashMap<u32, usize> = HashMap::new();
+        let mut durable_at_ack: HashMap<usize, u64> = HashMap::new();
+        let mut next = 0;
+        while durable_at_ack.len() < 64 {
+            while next < 64 && in_flight.len() < 8 {
+                in_flight.insert(c.send_request(&insert(next)).unwrap(), next);
+                next += 1;
+            }
+            let (id, response) = c.recv_response().unwrap();
+            assert!(response.is_ok(), "{response:?}");
+            durable_at_ack.insert(in_flight.remove(&id).unwrap(), wal.durable_lsn());
+        }
+        let fsyncs = wal.fsyncs() - fsyncs_before;
+        assert!(fsyncs <= 32, "64 pipelined inserts cost {fsyncs} fsyncs");
+        assert_eq!(wal.records_synced(), wal.durable_lsn(), "every record is counted once");
+
+        // Log order is apply order: the row at position p is LSN 2 + p
+        // (CREATE TABLE is LSN 1).
+        let handle = db.table("t").unwrap();
+        let mut position = 0u64;
+        handle
+            .read()
+            .unwrap()
+            .scan_rows(&mut |_, x, _| {
+                let (lsn, seen) = (2 + position, durable_at_ack[&(x[0] as usize)]);
+                assert!(seen >= lsn, "row {} (lsn {lsn}) acknowledged at durable_lsn {seen}", x[0]);
+                position += 1;
+            })
+            .unwrap();
+        assert_eq!(position, 64);
+        drop(c);
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sends eight inserts as one write on a raw v2 socket.
+    fn send_eight(addr: &str, first: usize) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut bytes = Vec::new();
+        for i in 0..8 {
+            protocol::encode_into(&mut bytes, 0, i + 1, insert(first + i as usize).as_bytes());
+        }
+        stream.write_all(&bytes).unwrap();
+        stream
+    }
+
+    /// Reads response frames until the server closes the connection.
+    fn read_acks(stream: &mut TcpStream) -> Vec<Response> {
+        let mut acks = Vec::new();
+        while let Some(frame) = protocol::read_frame(stream, protocol::MAX_FRAME_PAYLOAD).unwrap() {
+            acks.push(Response::from_payload(&frame.payload));
+        }
+        acks
+    }
+
+    /// (c) Parked statements are in flight: a client that half-closes
+    /// after its last request still gets every acknowledgement before the
+    /// server closes its side, and so does one caught by a drain.
+    #[test]
+    fn teardown_and_drain_wait_for_parked_acknowledgements() {
+        let dir = temp_dir("parked-teardown");
+        let control = Arc::new(SyncControl::default());
+        let (server, db) = served(&dir, &control);
+
+        control.hold();
+        let mut stream = send_eight(server.addr(), 0);
+        wait_for_parked(server.addr(), 8);
+        stream.shutdown(Shutdown::Write).unwrap();
+        // Long enough for the server to see the EOF and start tearing the
+        // connection down with all eight still parked; a teardown that did
+        // not wait would close the socket before any of them is answered.
+        std::thread::sleep(Duration::from_millis(150));
+        control.release();
+        let acks = read_acks(&mut stream);
+        assert_eq!(acks.len(), 8, "{acks:?}");
+        assert!(acks.iter().all(Response::is_ok), "{acks:?}");
+
+        control.hold();
+        let mut stream = send_eight(server.addr(), 8);
+        wait_for_parked(server.addr(), 8);
+        server.begin_drain();
+        std::thread::sleep(Duration::from_millis(150));
+        control.release();
+        let acks = read_acks(&mut stream);
+        assert_eq!(acks.len(), 8, "{acks:?}");
+        assert!(acks.iter().all(Response::is_ok), "{acks:?}");
+        server.stop();
+        drop(db);
+
+        let mut values = recovered_values(&dir);
+        values.sort_unstable();
+        assert_eq!(values, (0..16).collect::<Vec<_>>());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

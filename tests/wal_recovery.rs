@@ -306,6 +306,86 @@ fn concurrent_writers_and_readers_crash_cleanly() {
     }
 }
 
+/// The crash matrix over the *served* path: one v2 connection keeps eight
+/// inserts in flight against a server whose filesystem dies at op `k`, for
+/// every `k` of the whole run (set-up, pipelined commit, drain-time
+/// checkpoint). Whatever the committer acknowledged must be on disk, and
+/// nothing beyond what was in flight may have ridden in unacknowledged.
+#[test]
+fn pipelined_served_writer_crashed_at_every_op_keeps_every_acked_row() {
+    use bolton_bismarck::server::{serve, Client};
+    use bolton_bismarck::ServerConfig;
+    use std::collections::{BTreeSet, HashMap};
+    const DEPTH: usize = 8;
+    const INSERTS: usize = 24;
+
+    /// Serves `dir` over `vfs`, streams the inserts, drains; returns the
+    /// row values whose insert was answered `ok`.
+    fn serve_and_insert(dir: &PathBuf, vfs: &FaultVfs) -> BTreeSet<usize> {
+        let mut acked = BTreeSet::new();
+        let Ok(db) = open_faulted(dir, vfs) else { return acked };
+        let server = serve(db, &ServerConfig::default()).unwrap();
+        let mut client = Client::connect_v2(server.addr()).unwrap();
+        if client.expect_ok("CREATE TABLE t (DIM 1)").is_ok() {
+            let mut in_flight: HashMap<u32, usize> = HashMap::new();
+            let mut next = 0;
+            loop {
+                while next < INSERTS && in_flight.len() < DEPTH {
+                    let sql = format!("INSERT INTO t VALUES ({next}, 1)");
+                    in_flight.insert(client.send_request(&sql).unwrap(), next);
+                    next += 1;
+                }
+                if in_flight.is_empty() {
+                    break;
+                }
+                let (id, response) = client.recv_response().unwrap();
+                let value = in_flight.remove(&id).expect("a response for a request in flight");
+                if response.is_ok() {
+                    acked.insert(value);
+                }
+            }
+        }
+        drop(client);
+        server.stop();
+        acked
+    }
+
+    let probe_dir = temp_dir("served-probe");
+    let counting = FaultVfs::counting();
+    assert_eq!(serve_and_insert(&probe_dir, &counting).len(), INSERTS, "probe run must complete");
+    std::fs::remove_dir_all(&probe_dir).unwrap();
+    // How the statements group onto fsyncs differs from run to run, so a
+    // late `k` may lie past the end of its own run: then nothing crashes
+    // and everything must simply be there.
+    for k in 0..counting.ops() {
+        let dir = temp_dir("served");
+        let acked = serve_and_insert(&dir, &FaultVfs::crash_at(k));
+        let mut recovered = Vec::new();
+        for _ in 0..2 {
+            let db = Db::open(&dir).unwrap();
+            let mut rows = BTreeSet::new();
+            if let Ok(handle) = db.table("t") {
+                let table = handle.read().expect("table lock");
+                table.scan_rows(&mut |_, x, _| assert!(rows.insert(x[0] as usize))).unwrap();
+            }
+            recovered.push(rows);
+        }
+        assert!(
+            recovered[0].is_superset(&acked),
+            "crash at fs-op {k}: acked {acked:?}, recovered {:?}",
+            recovered[0]
+        );
+        assert!(
+            recovered[0].len() <= acked.len() + DEPTH,
+            "crash at fs-op {k}: {} rows recovered, {} acked",
+            recovered[0].len(),
+            acked.len()
+        );
+        assert_eq!(recovered[0], recovered[1], "crash at fs-op {k}: second replay diverged");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 mod proptests {
     use super::*;
     use proptest::prelude::*;
